@@ -8,6 +8,7 @@
 ///       --graph <file> [--queries <file>] [--conns 32] [--requests 64]
 ///       [--update-ratio 25] [--stats-every 16] [--check] [--shutdown]
 ///       [--stats-out <path> [--stats-lines 3]] [--seed 42] [--json <path>]
+///       [--max-query-p50-us N]
 ///
 /// Each of `--conns` connections runs its own thread with one outstanding
 /// request at a time (`--requests` per connection): `--update-ratio`% are
@@ -34,6 +35,9 @@
 /// tools/check_metrics_schema.py. The checker wants seq dense from 1, and
 /// seq is server-global — combine with `--stats-every 0` so no worker
 /// connection consumes seq numbers first.
+///
+/// `--max-query-p50-us N` is a latency gate: the run exits 1 when the
+/// client-observed query p50 exceeds N µs (0, the default, disables it).
 ///
 /// `--shutdown` ends the run with a kShutdown frame and waits for the
 /// server to close the connection, so a CI job can assert the serve
@@ -78,7 +82,7 @@ int Usage() {
                "  [--queries <file>] [--conns 32] [--requests 64]\n"
                "  [--update-ratio 25] [--stats-every 16] [--check]\n"
                "  [--shutdown] [--stats-out <path> [--stats-lines 3]]\n"
-               "  [--seed 42] [--json <path>]\n");
+               "  [--seed 42] [--json <path>] [--max-query-p50-us N]\n");
   return 2;
 }
 
@@ -227,14 +231,15 @@ double Quantile(std::vector<double>* v, double q) {
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
   uint64_t port = 0, conns = 32, requests = 64, update_ratio = 25,
-           stats_every = 16, stats_lines = 3, seed = 42;
+           stats_every = 16, stats_lines = 3, seed = 42, max_p50_us = 0;
   if (!NumericFlag(args, "--port", 0, &port) ||
       !NumericFlag(args, "--conns", 32, &conns) ||
       !NumericFlag(args, "--requests", 64, &requests) ||
       !NumericFlag(args, "--update-ratio", 25, &update_ratio) ||
       !NumericFlag(args, "--stats-every", 16, &stats_every) ||
       !NumericFlag(args, "--stats-lines", 3, &stats_lines) ||
-      !NumericFlag(args, "--seed", 42, &seed)) {
+      !NumericFlag(args, "--seed", 42, &seed) ||
+      !NumericFlag(args, "--max-query-p50-us", 0, &max_p50_us)) {
     return Usage();
   }
   const std::string host = FlagValue(args, "--host", "127.0.0.1");
@@ -433,6 +438,13 @@ int main(int argc, char** argv) {
   if (failures > 0) {
     std::fprintf(stderr, "FAIL: %s\n", first_failure.c_str());
   }
+  const bool latency_ok =
+      max_p50_us == 0 || p50 <= static_cast<double>(max_p50_us);
+  if (!latency_ok) {
+    std::fprintf(stderr,
+                 "FAIL: query p50 %.0fus exceeds --max-query-p50-us %llu\n",
+                 p50, static_cast<unsigned long long>(max_p50_us));
+  }
 
   // --check: the server's post-ingest answers vs an in-process oracle over
   // the same graph + the same acked inserts. min_applied_ts = global max
@@ -577,5 +589,8 @@ int main(int argc, char** argv) {
     if (!report.WriteTo(json_path)) return 1;
   }
 
-  return (failures == 0 && check_ok && stats_ok && shutdown_ok) ? 0 : 1;
+  return (failures == 0 && latency_ok && check_ok && stats_ok &&
+          shutdown_ok)
+             ? 0
+             : 1;
 }

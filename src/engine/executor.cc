@@ -1,9 +1,22 @@
 #include "engine/executor.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
 namespace gpmv {
+
+size_t UsableCpus() {
+  // A process confined to fewer CPUs (taskset, a cpuset cgroup) than the
+  // machine has would only time-slice the extra workers: each preempts
+  // the others mid-task, so a task's cost follows the interleaving.
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 ThreadPool::ThreadPool(ThreadPoolOptions opts)
     : queue_capacity_(std::max<size_t>(1, opts.queue_capacity)),
@@ -11,9 +24,7 @@ ThreadPool::ThreadPool(ThreadPoolOptions opts)
       fault_(opts.fault),
       obs_(opts.obs) {
   size_t n = opts.num_threads;
-  if (n == 0) {
-    n = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (n == 0) n = UsableCpus();
   num_threads_ = n;
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {

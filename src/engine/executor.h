@@ -36,9 +36,13 @@ struct ThreadPoolObs {
   obs::Histogram* run_us = nullptr;         ///< task body wall time
 };
 
+/// CPUs this process may run on (its affinity mask), falling back to
+/// std::thread::hardware_concurrency(); at least 1.
+size_t UsableCpus();
+
 /// Pool sizing knobs.
 struct ThreadPoolOptions {
-  /// Worker count; 0 means std::thread::hardware_concurrency() (min 1).
+  /// Worker count; 0 means UsableCpus().
   size_t num_threads = 0;
   /// Maximum queued (not yet running) tasks before Submit blocks.
   size_t queue_capacity = 1024;

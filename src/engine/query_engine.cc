@@ -299,17 +299,15 @@ QueryResponse QueryEngine::Query(const Pattern& q, const QueryOptions& qopts) {
   return Execute(q, qopts);
 }
 
-Result<std::future<QueryResponse>> QueryEngine::Submit(Pattern q,
-                                                       QueryOptions qopts) {
+Status QueryEngine::Submit(Pattern q, QueryOptions qopts,
+                           QueryCallback done) {
   // The stopwatch rides into the task by value: when a worker picks the
   // task up, its elapsed time *is* the queue wait.
   Stopwatch queued;
-  auto task = std::make_shared<std::packaged_task<QueryResponse()>>(
-      [this, query = std::move(q), qopts, queued] {
-        return Execute(query, qopts, queued.ElapsedMillis());
+  Status st = pool_.Submit(
+      [this, query = std::move(q), qopts, queued, done = std::move(done)] {
+        done(Execute(query, qopts, queued.ElapsedMillis()));
       });
-  std::future<QueryResponse> fut = task->get_future();
-  Status st = pool_.Submit([task] { (*task)(); });
   if (!st.ok()) {
     // Admission control (ThreadPoolOptions::shed_when_saturated) surfaces
     // as kResourceExhausted: the query was shed, not executed — count it
@@ -318,8 +316,18 @@ Result<std::future<QueryResponse>> QueryEngine::Submit(Pattern q,
         st.code() == Status::Code::kResourceExhausted) {
       h_.shed_queries->Add(1);
     }
-    return st;
   }
+  return st;
+}
+
+Result<std::future<QueryResponse>> QueryEngine::Submit(Pattern q,
+                                                       QueryOptions qopts) {
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> fut = promise->get_future();
+  GPMV_RETURN_NOT_OK(Submit(std::move(q), qopts,
+                            [promise](QueryResponse resp) {
+                              promise->set_value(std::move(resp));
+                            }));
   return fut;
 }
 

@@ -81,6 +81,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -323,12 +324,22 @@ class QueryEngine {
   /// (min_applied_ts) and/or a historical cut (as_of_ts).
   QueryResponse Query(const Pattern& q, const QueryOptions& qopts = {});
 
+  /// Receives a finished query's response on the worker that ran it.
+  using QueryCallback = std::function<void(QueryResponse)>;
+
   /// Answers `q` on the worker pool; blocks only when the task queue is
-  /// full (backpressure) and fails only once the pool is shut down. Safe
-  /// from any thread. The returned future is satisfied by a worker; a
-  /// query observes the graph version current when its *execution* starts,
-  /// not when it was submitted — updates applied while it sat queued are
-  /// visible to it.
+  /// full (backpressure) and fails only once the pool is shut down (or,
+  /// with shed_when_saturated, when the queue is full). Safe from any
+  /// thread. On OK, `done` runs exactly once, on the worker that executed
+  /// the query, right after execution; on failure it never runs. A query
+  /// observes the graph version current when its *execution* starts, not
+  /// when it was submitted — updates applied while it sat queued are
+  /// visible to it. `done` must not throw and should be short: it holds
+  /// that worker.
+  Status Submit(Pattern q, QueryOptions qopts, QueryCallback done);
+
+  /// The future form of Submit: the returned future is satisfied by the
+  /// callback above, so both forms share one execution path.
   Result<std::future<QueryResponse>> Submit(Pattern q,
                                             QueryOptions qopts = {});
 

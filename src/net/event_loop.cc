@@ -161,6 +161,7 @@ bool EventLoop::RunOnce(int max_wait_ms) {
   }
   DrainPosted();
   RunExpiredTimers();
+  if (tick_end_) tick_end_();
   return !stop_requested();
 }
 

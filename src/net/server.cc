@@ -39,12 +39,12 @@ Server::Server(QueryEngine* engine, ApplierPool* pool, ServerOptions opts)
 
 Server::~Server() {
   RequestStop();
+  // Completion callbacks still running on engine workers Post into loop_
+  // and record into the metric handles: wait them out before members die.
   {
-    std::lock_guard<std::mutex> lk(wq_mu_);
-    wq_stop_ = true;
+    std::unique_lock<std::mutex> lk(completions_mu_);
+    completions_cv_.wait(lk, [this] { return completions_ == 0; });
   }
-  wq_cv_.notify_all();
-  if (waiter_.joinable()) waiter_.join();
   for (auto& [id, c] : conns_) {
     if (c->fd >= 0) ::close(c->fd);
   }
@@ -103,23 +103,18 @@ Status Server::Start() {
   GPMV_RETURN_NOT_OK(loop_.Init());
   GPMV_RETURN_NOT_OK(
       loop_.Watch(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); }));
+  loop_.SetTickEnd([this] { FlushQueued(); });
 
   start_time_ = std::chrono::steady_clock::now();
-  waiter_ = std::thread([this] { WaiterMain(); });
   started_ = true;
   return Status::OK();
 }
 
 void Server::Run() {
   loop_.Run();
-  // Loop done: stop the waiter and hard-close whatever survived (normally
-  // nothing — MaybeFinishShutdown closed every connection already).
-  {
-    std::lock_guard<std::mutex> lk(wq_mu_);
-    wq_stop_ = true;
-  }
-  wq_cv_.notify_all();
-  if (waiter_.joinable()) waiter_.join();
+  // Loop done: hard-close whatever survived (normally nothing —
+  // MaybeFinishShutdown closed every connection already). Completions that
+  // still arrive find no connection and are dropped.
   for (auto& [id, c] : conns_) {
     loop_.Unwatch(c->fd);
     ::close(c->fd);
@@ -151,7 +146,7 @@ void Server::OnAcceptable() {
       continue;
     }
     const int one = 1;
-    // The server coalesces its own writes (COMM_MIN/COMM_DELAY); Nagle on
+    // The server coalesces its own writes (one write per tick); Nagle on
     // top of that would only delay the flushed packet.
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
@@ -285,23 +280,35 @@ void Server::HandleQuery(Connection* c, const Frame& f) {
   // the client asked for explicitly.
   qo.min_applied_ts = std::max(req->min_applied_ts, c->last_update_ts);
   qo.as_of_ts = req->as_of_ts;
-  Result<std::future<QueryResponse>> fut =
-      engine_->Submit(std::move(pattern).value(), qo);
-  if (!fut.ok()) {
+  // Take the slot (and count the callback) before Submit: the worker may
+  // finish before Submit returns.
+  const uint64_t conn_id = c->id;
+  const uint64_t slot = c->slot_base + c->slots.size();
+  c->slots.emplace_back();
+  {
+    std::lock_guard<std::mutex> lk(completions_mu_);
+    ++completions_;
+  }
+  const auto submitted = std::chrono::steady_clock::now();
+  Status st = engine_->Submit(
+      std::move(pattern).value(), qo,
+      [this, conn_id, slot, request_id = f.request_id,
+       submitted](QueryResponse resp) {
+        CompleteQuery(conn_id, slot, request_id, submitted, std::move(resp));
+      });
+  if (!st.ok()) {
     // Shed by admission control (or shut down) — the loop thread never
-    // blocks on a saturated pool.
-    SendError(c, f.request_id, fut.status());
+    // blocks on a saturated pool. The error takes the query's place in
+    // line.
+    {
+      std::lock_guard<std::mutex> lk(completions_mu_);
+      --completions_;
+    }
+    c->slots.pop_back();
+    SendError(c, f.request_id, st);
     return;
   }
   m_queries_->Add(1);
-  ++c->inflight_queries;
-  {
-    std::lock_guard<std::mutex> lk(wq_mu_);
-    wq_.push_back(PendingQuery{c->id, f.request_id,
-                               std::move(fut).value(),
-                               std::chrono::steady_clock::now()});
-  }
-  wq_cv_.notify_one();
 }
 
 void Server::HandleUpdate(Connection* c, const Frame& f) {
@@ -438,32 +445,56 @@ void Server::HandleShutdown(Connection* c, const Frame& f) {
 
 void Server::SendFrame(Connection* c, FrameKind kind, Status::Code status,
                        uint64_t request_id, const std::string& payload) {
-  EncodeFrame(kind, status, request_id, payload, &c->out);
-  m_frames_out_->Add(1);
-  const size_t unsent = c->out.size() - c->sent;
-  if (unsent >= opts_.flush_bytes) {
-    if (c->flush_timer != 0) {
-      loop_.CancelTimer(c->flush_timer);
-      c->flush_timer = 0;
-    }
-    Flush(c);  // may close the connection; caller must re-look-up
+  if (!c->slots.empty()) {
+    // An earlier query is still running: this response waits its turn.
+    std::string frame;
+    EncodeFrame(kind, status, request_id, payload, &frame);
+    c->slots.push_back(std::move(frame));
     return;
   }
-  if (c->flush_timer == 0 && !c->want_write) {
-    const uint64_t id = c->id;
-    c->flush_timer = loop_.RunAfter(opts_.flush_delay_ms, [this, id] {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) return;
-      it->second->flush_timer = 0;
-      Flush(it->second.get());
-    });
-  }
+  EncodeFrame(kind, status, request_id, payload, &c->out);
+  m_frames_out_->Add(1);
+  ScheduleWrite(c);
 }
 
 void Server::SendError(Connection* c, uint64_t request_id,
                        const Status& st) {
   m_errors_sent_->Add(1);
   SendFrame(c, FrameKind::kError, st.code(), request_id, st.message());
+}
+
+void Server::ReleaseReady(Connection* c) {
+  while (!c->slots.empty() && c->slots.front().has_value()) {
+    c->out += *c->slots.front();
+    c->slots.pop_front();
+    ++c->slot_base;
+    m_frames_out_->Add(1);
+  }
+  ScheduleWrite(c);
+}
+
+void Server::ScheduleWrite(Connection* c) {
+  if (c->out.size() - c->sent >= opts_.flush_bytes) {
+    Flush(c);  // may close the connection; caller must re-look-up
+    return;
+  }
+  if (c->sent < c->out.size() && !c->flush_queued && !c->want_write) {
+    c->flush_queued = true;
+    flush_queue_.push_back(c->id);
+  }
+}
+
+void Server::FlushQueued() {
+  std::vector<uint64_t> ids;
+  ids.swap(flush_queue_);
+  // A Flush can close this or (finishing shutdown) every connection.
+  for (uint64_t id : ids) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    Connection* c = it->second.get();
+    c->flush_queued = false;
+    if (!c->want_write) Flush(c);
+  }
 }
 
 void Server::Flush(Connection* c) {
@@ -523,7 +554,7 @@ void Server::UpdateReadInterest(Connection* c) {
 void Server::MaybeCloseDrained(Connection* c) {
   // A parked op still owes its client an ack/error even after the peer
   // half-closed its write side — it resolves (or deadlines) first.
-  if (c->draining && !c->parked && c->inflight_queries == 0 &&
+  if (c->draining && !c->parked && c->slots.empty() &&
       c->sent == c->out.size()) {
     CloseConn(c->id);
   }
@@ -533,7 +564,6 @@ void Server::CloseConn(uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Connection* c = it->second.get();
-  if (c->flush_timer != 0) loop_.CancelTimer(c->flush_timer);
   if (c->retry_timer != 0) loop_.CancelTimer(c->retry_timer);
   loop_.Unwatch(c->fd);
   ::close(c->fd);
@@ -543,63 +573,43 @@ void Server::CloseConn(uint64_t conn_id) {
   MaybeFinishShutdown();
 }
 
-// ---------------------------------------------------------- query futures
+// ------------------------------------------------------ query completions
 
-void Server::WaiterMain() {
-  for (;;) {
-    PendingQuery pq;
-    {
-      std::unique_lock<std::mutex> lk(wq_mu_);
-      wq_cv_.wait(lk, [this] { return wq_stop_ || !wq_.empty(); });
-      if (wq_stop_) return;  // abandoned futures complete harmlessly
-      pq = std::move(wq_.front());
-      wq_.pop_front();
-    }
-    QueryResponse resp = pq.future.get();
-    m_request_us_->Record(
-        static_cast<uint64_t>(MsSince(pq.submitted) * 1000.0));
-    std::string encoded;
-    bool is_error = false;
-    Status::Code code = Status::Code::kOk;
-    if (resp.status.ok()) {
-      // Normalized match sets make equal results bit-identical on the
-      // wire (the loadgen equivalence check relies on it).
-      resp.result.Normalize();
-      encoded = EncodeQueryResult(resp);
-    } else {
-      is_error = true;
-      code = resp.status.code();
-      encoded = resp.status.message();
-    }
-    loop_.Post([this, conn_id = pq.conn_id, request_id = pq.request_id,
-                bytes = std::move(encoded), is_error, code]() mutable {
-      OnQueryDone(conn_id, request_id, std::move(bytes), is_error, code);
-    });
+void Server::CompleteQuery(uint64_t conn_id, uint64_t slot,
+                           uint64_t request_id,
+                           std::chrono::steady_clock::time_point submitted,
+                           QueryResponse resp) {
+  m_request_us_->Record(static_cast<uint64_t>(MsSince(submitted) * 1000.0));
+  std::string frame;
+  const bool is_error = !resp.status.ok();
+  if (is_error) {
+    EncodeFrame(FrameKind::kError, resp.status.code(), request_id,
+                resp.status.message(), &frame);
+  } else {
+    // Normalized match sets make equal results bit-identical on the wire
+    // (the loadgen equivalence check relies on it).
+    resp.result.Normalize();
+    EncodeFrame(FrameKind::kQueryResult, Status::Code::kOk, request_id,
+                EncodeQueryResult(resp), &frame);
   }
+  loop_.Post([this, conn_id, slot, is_error,
+              frame = std::move(frame)]() mutable {
+    OnQueryDone(conn_id, slot, std::move(frame), is_error);
+  });
+  // Last touch of `this`: ~Server may proceed once the count reaches zero.
+  std::lock_guard<std::mutex> lk(completions_mu_);
+  if (--completions_ == 0) completions_cv_.notify_all();
 }
 
-void Server::OnQueryDone(uint64_t conn_id, uint64_t request_id,
-                         std::string encoded, bool is_error,
-                         Status::Code error_code) {
+void Server::OnQueryDone(uint64_t conn_id, uint64_t slot, std::string frame,
+                         bool is_error) {
   auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
-    // Connection went away while the query ran; the result is dropped.
-    MaybeFinishShutdown();
-    return;
-  }
+  if (it == conns_.end()) return;  // connection went away; result dropped
   Connection* c = it->second.get();
-  GPMV_DCHECK(c->inflight_queries > 0);
-  --c->inflight_queries;
-  if (is_error) {
-    m_errors_sent_->Add(1);
-    SendFrame(c, FrameKind::kError, error_code, request_id, encoded);
-  } else {
-    SendFrame(c, FrameKind::kQueryResult, Status::Code::kOk, request_id,
-              encoded);
-  }
-  it = conns_.find(conn_id);
-  if (it != conns_.end()) MaybeCloseDrained(it->second.get());
-  MaybeFinishShutdown();
+  GPMV_DCHECK(slot >= c->slot_base && slot - c->slot_base < c->slots.size());
+  c->slots[slot - c->slot_base] = std::move(frame);
+  if (is_error) m_errors_sent_->Add(1);
+  ReleaseReady(c);  // once drained, Flush closes a draining connection
 }
 
 // -------------------------------------------------------------- shutdown
@@ -632,12 +642,7 @@ void Server::BeginShutdown() {
       c = it->second.get();
     }
     UpdateReadInterest(c);
-    // Stop coalescing: push whatever is buffered now.
-    if (c->flush_timer != 0) {
-      loop_.CancelTimer(c->flush_timer);
-      c->flush_timer = 0;
-    }
-    Flush(c);
+    Flush(c);  // push whatever is buffered now
   }
   // Backstop: a peer that never drains its socket cannot hold the exit.
   loop_.RunAfter(kShutdownDrainMs, [this] {
@@ -653,7 +658,7 @@ void Server::BeginShutdown() {
 void Server::MaybeFinishShutdown() {
   if (!shutting_down_) return;
   for (auto& [id, c] : conns_) {
-    if (c->inflight_queries > 0 || c->sent != c->out.size()) return;
+    if (!c->slots.empty() || c->sent != c->out.size()) return;
   }
   // Everything answered and drained: close the remainder and stop.
   std::vector<uint64_t> ids;
@@ -663,7 +668,6 @@ void Server::MaybeFinishShutdown() {
     auto it = conns_.find(id);
     if (it == conns_.end()) continue;
     Connection* c = it->second.get();
-    if (c->flush_timer != 0) loop_.CancelTimer(c->flush_timer);
     if (c->retry_timer != 0) loop_.CancelTimer(c->retry_timer);
     loop_.Unwatch(c->fd);
     ::close(c->fd);

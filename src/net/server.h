@@ -6,25 +6,33 @@
 /// pool, update ops through `ApplierPool::TryPush` into the MVCC ingest
 /// slices, stats straight off the metrics registry.
 ///
-/// Thread topology (three kinds of thread, two owned here):
+/// Thread topology (the server owns no thread of its own):
 ///
 ///   * the **loop thread** (the caller of Run) owns every Connection and
 ///     all socket I/O. It never blocks on engine work: query submission
 ///     uses the executor's shed-when-saturated admission (a saturated pool
 ///     fast-fails kResourceExhausted instead of parking the loop), and op
 ///     admission uses the pool's non-blocking TryPush.
-///   * the **waiter thread** (owned) turns query futures into response
-///     frames: it blocks on each future in submission order, encodes the
-///     response off-loop, and Posts the bytes back to the loop for
-///     buffered sending. FIFO handling means one connection's responses
-///     arrive in its submission order.
-///   * the engine's own worker/applier threads, untouched.
+///   * the engine's **worker threads** finish queries through the callback
+///     form of `QueryEngine::Submit`: the worker that ran a query records
+///     `net.request_us`, normalizes and encodes the response frame, and
+///     Posts the bytes to the loop. `~Server` waits for every such
+///     callback still in flight before the loop dies.
+///   * the engine's applier threads, untouched.
 ///
-/// Write path — small-packet coalescing after Galois's
-/// NetworkInterfaceBuffered: response bytes append to a per-connection
-/// buffer which flushes when it crosses `flush_bytes` (COMM_MIN) or when
-/// the `flush_delay_ms` (COMM_DELAY) loop timer expires, whichever first.
-/// A partial write arms EPOLLOUT and the remainder streams out as the
+/// Response order: every request takes the next *slot* on its connection
+/// when it is dispatched. Acks, stats and request-level errors fill their
+/// slot at once; a query's slot fills when its completion arrives. Only
+/// the ready prefix of the slots moves to the out-buffer, so one
+/// connection's responses leave in its submission order whatever their
+/// kind, while a slow query holds back only its own connection.
+///
+/// Write path: frames appended to a connection's out-buffer during one
+/// loop tick — the reads of that tick, the completions Posted into it,
+/// its timers — go out in one `write` per connection at the end of the
+/// tick, so pipelined requests still coalesce into one packet. A buffer
+/// that crosses `flush_bytes` (COMM_MIN) mid-tick is written at once. A
+/// partial write arms EPOLLOUT and the remainder streams out as the
 /// socket drains — a slow reader backpressures only its own buffer.
 ///
 /// Read path — per-connection ingest backpressure: when an op's slice
@@ -61,12 +69,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/status.h"
@@ -83,11 +91,10 @@ struct ServerOptions {
   /// actual one (tests bind 0 to avoid collisions).
   uint16_t port = 0;
   int listen_backlog = 128;
-  /// Write-coalescing knobs (COMM_MIN / COMM_DELAY): flush a connection's
-  /// out-buffer at this many bytes, or this many ms after the first
-  /// unflushed byte, whichever comes first.
+  /// Mid-tick write cap (COMM_MIN): a connection's out-buffer is written
+  /// as soon as it holds this many unsent bytes instead of waiting for the
+  /// end of the loop tick.
   size_t flush_bytes = 8 * 1024;
-  double flush_delay_ms = 1.0;
   /// Parked-op admission: retry cadence and total deadline before the
   /// client gets kDeadlineExceeded.
   double push_retry_ms = 1.0;
@@ -109,8 +116,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds + listens + starts the waiter thread. After OK, port() is live
-  /// and Run() will serve.
+  /// Binds + listens. After OK, port() is live and Run() will serve.
   Status Start();
 
   /// Serves until a kShutdown frame or RequestStop; returns only after
@@ -135,12 +141,19 @@ class Server {
     uint64_t id = 0;
     FrameParser parser{/*require_requests=*/true};
 
-    /// Coalesced out-buffer: [sent, out.size()) is unsent. `sent` only
-    /// grows; the buffer compacts when fully drained.
+    /// Out-buffer: [sent, out.size()) is unsent. `sent` only grows; the
+    /// buffer compacts when fully drained.
     std::string out;
     size_t sent = 0;
     bool want_write = false;    ///< EPOLLOUT armed
-    uint64_t flush_timer = 0;   ///< pending COMM_DELAY timer id (0 = none)
+    bool flush_queued = false;  ///< listed in flush_queue_ for tick end
+
+    /// Response slots (see "Response order") waiting their turn, oldest
+    /// first: slots[i] is slot number `slot_base + i` and holds the encoded
+    /// frame once ready. The front is never ready (a ready front moves to
+    /// `out` at once), so a non-empty deque means a query is in flight.
+    std::deque<std::optional<std::string>> slots;
+    uint64_t slot_base = 0;
 
     bool reading_paused = false;
     /// Parked update op (slice queue full): frames decoded behind it stay
@@ -152,17 +165,8 @@ class Server {
     uint64_t retry_timer = 0;
 
     uint64_t last_update_ts = 0;  ///< read-your-writes floor
-    size_t inflight_queries = 0;
     /// Protocol error latched or peer half-closed: close once drained.
     bool draining = false;
-  };
-
-  /// One submitted query awaiting its future, in FIFO order.
-  struct PendingQuery {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    std::future<QueryResponse> future;
-    std::chrono::steady_clock::time_point submitted;
   };
 
   void OnAcceptable();
@@ -178,23 +182,35 @@ class Server {
   void RetryParked(uint64_t conn_id);
   void FinishParked(Connection* c);
 
-  /// Appends an encoded frame and applies the coalescing policy.
+  /// Sends a response frame now, or behind a query still in flight. May
+  /// close the connection (a write fault); callers re-look-up.
   void SendFrame(Connection* c, FrameKind kind, Status::Code status,
                  uint64_t request_id, const std::string& payload);
   void SendError(Connection* c, uint64_t request_id, const Status& st);
+  /// Moves the ready prefix of the slots to the out-buffer, then
+  /// ScheduleWrite. May close the connection.
+  void ReleaseReady(Connection* c);
+  /// Writes the out-buffer now when it holds `flush_bytes`, else queues
+  /// the connection for the tick-end flush. May close the connection.
+  void ScheduleWrite(Connection* c);
   /// Writes as much of the out-buffer as the socket takes now.
   void Flush(Connection* c);
+  /// Tick-end hook: flushes every connection queued by ReleaseReady.
+  void FlushQueued();
   void UpdateReadInterest(Connection* c);
   /// Closes a draining connection once its responses are answered and
   /// written out. May invalidate `c`.
   void MaybeCloseDrained(Connection* c);
   void CloseConn(uint64_t conn_id);
 
-  /// Waiter-thread body and its loop-side completion.
-  void WaiterMain();
-  void OnQueryDone(uint64_t conn_id, uint64_t request_id,
-                   std::string encoded, bool is_error,
-                   Status::Code error_code);
+  /// Worker-side completion of a query: records net.request_us, encodes
+  /// the response frame and Posts it to the loop.
+  void CompleteQuery(uint64_t conn_id, uint64_t slot, uint64_t request_id,
+                     std::chrono::steady_clock::time_point submitted,
+                     QueryResponse resp);
+  /// Loop-side: fills the query's slot and releases what became ready.
+  void OnQueryDone(uint64_t conn_id, uint64_t slot, std::string frame,
+                   bool is_error);
 
   void BeginShutdown();
   /// Stops the loop once shutdown started, queries drained, buffers empty.
@@ -215,12 +231,14 @@ class Server {
 
   bool shutting_down_ = false;  ///< loop thread only
 
-  /// Waiter-thread queue.
-  std::thread waiter_;
-  std::mutex wq_mu_;
-  std::condition_variable wq_cv_;
-  std::deque<PendingQuery> wq_;
-  bool wq_stop_ = false;
+  /// Connections with unsent bytes to write at the end of this tick.
+  std::vector<uint64_t> flush_queue_;
+
+  /// Query completion callbacks submitted but not yet returned; ~Server
+  /// waits for zero because they Post into loop_ and record into metrics.
+  std::mutex completions_mu_;
+  std::condition_variable completions_cv_;
+  size_t completions_ = 0;
 
   /// Stats frames: server-global gapless seq + steady ms since Start, so
   /// a socket-served artifact satisfies the exporter schema checker.

@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -61,10 +62,34 @@ TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardwareConcurrency) {
   opts.queue_capacity = 16;
   ThreadPool pool(opts);
   EXPECT_GE(pool.num_threads(), 1u);
+  EXPECT_EQ(pool.num_threads(), UsableCpus());
   std::atomic<int> counter{0};
   ASSERT_TRUE(pool.Submit([&counter] { ++counter; }).ok());
   pool.Shutdown();
   EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPoolTest, ZeroThreadsFollowsCpuAffinity) {
+  // Pin a fresh thread (not the test process) to one CPU; a default-sized
+  // pool built there gets one worker instead of time-slicing several.
+  size_t workers = 0;
+  bool pinned = false;
+  std::thread t([&] {
+    cpu_set_t set;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &set)) ++first;
+    CPU_ZERO(&set);
+    CPU_SET(first, &set);
+    pinned = sched_setaffinity(0, sizeof(set), &set) == 0;
+    ThreadPoolOptions opts;
+    opts.num_threads = 0;
+    ThreadPool pool(opts);
+    workers = pool.num_threads();
+  });
+  t.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(workers, 1u);
 }
 
 }  // namespace

@@ -5,13 +5,16 @@
 /// (posting, timers, fd watching), and live-server tests over real TCP
 /// connections on an ephemeral port (request/response semantics,
 /// per-request vs framing errors, mid-frame disconnects, slow readers,
-/// read-your-writes, ingest backpressure error frames, shutdown). The
+/// read-your-writes, ingest backpressure error frames, response order
+/// across frame kinds and under shedding, tick-end write coalescing,
+/// teardown with query completions in flight, shutdown). The
 /// malformed-input cases pin the ISSUE contract: a hostile or broken
 /// client must never crash or wedge the server, only lose its own
 /// connection.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -21,7 +24,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -323,6 +328,19 @@ TEST(NetEventLoopTest, PostedTasksRunOnLoopTick) {
   EXPECT_EQ(ran.load(), 5);
 }
 
+TEST(NetEventLoopTest, TickEndHookRunsOncePerTickAfterPostedTasks) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  std::vector<std::string> order;
+  loop.SetTickEnd([&] { order.push_back("end"); });
+  loop.Post([&] { order.push_back("a"); });
+  loop.Post([&] { order.push_back("b"); });
+  loop.RunOnce(50);
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "end"}));
+  loop.RunOnce(0);  // an idle tick still ends with the hook
+  EXPECT_EQ(order.size(), 4u);
+}
+
 TEST(NetEventLoopTest, TimersFireInOrderAndCancelWorks) {
   EventLoop loop;
   ASSERT_TRUE(loop.Init().ok());
@@ -424,6 +442,19 @@ class TestClient {
     return !Recv(&f);
   }
 
+  /// True when response bytes arrive within `wait_ms`.
+  bool Readable(int wait_ms) {
+    pollfd p{fd_, POLLIN, 0};
+    return ::poll(&p, 1, wait_ms) > 0;
+  }
+
+  /// Abortive close (RST): the server sees the connection reset at once.
+  void Abort() {
+    linger lg{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    Close();
+  }
+
   void Close() {
     if (fd_ >= 0) {
       ::close(fd_);
@@ -435,6 +466,46 @@ class TestClient {
   int fd_ = -1;
   FrameParser parser_{/*require_requests=*/false};
 };
+
+/// Holds the engine's worker (run it with one thread) inside a completion
+/// callback until Release, so queries submitted meanwhile stay queued — or
+/// are shed once the executor queue is full — deterministically.
+class WorkerBlocker {
+ public:
+  explicit WorkerBlocker(QueryEngine* engine) {
+    auto entered = std::make_shared<std::promise<void>>();
+    std::future<void> running = entered->get_future();
+    Status st = engine->Submit(
+        ChainPattern({"A", "B"}), QueryOptions{},
+        [entered, release = release_.get_future().share()](QueryResponse) {
+          entered->set_value();
+          release.wait();
+        });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    if (st.ok()) running.wait();
+  }
+  ~WorkerBlocker() { Release(); }
+
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    release_.set_value();
+  }
+
+ private:
+  std::promise<void> release_;
+  bool released_ = false;
+};
+
+/// Reads counter `name` out of a kStatsResult exporter line.
+uint64_t StatsCounter(const Frame& f, const std::string& name) {
+  const std::string line(f.payload.begin(), f.payload.end());
+  const std::string key = "\"" + name + "\":";
+  const size_t pos = line.find(key);
+  EXPECT_NE(pos, std::string::npos) << name << " not in " << line;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(line.c_str() + pos + key.size(), nullptr, 10);
+}
 
 /// Engine + pool + server on an ephemeral port, Run() on its own thread.
 class NetServerTest : public ::testing::Test {
@@ -462,6 +533,28 @@ class NetServerTest : public ::testing::Test {
     if (pool_) (void)pool_->Stop();
     pool_.reset();
     engine_.reset();
+  }
+
+  /// Polls a net counter until it reaches `want` (the loop thread bumps
+  /// it); false after a 10 s deadline.
+  bool WaitForCounter(const std::string& name, uint64_t want) {
+    obs::Counter* counter = engine_->metrics()->FindOrCreateCounter(name);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (counter->Value() < want) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  /// Engine options for the blocker tests: one worker, `queue_capacity`
+  /// queued queries at most.
+  static EngineOptions OneWorker(size_t queue_capacity = 1024) {
+    EngineOptions eo;
+    eo.pool.num_threads = 1;
+    eo.pool.queue_capacity = queue_capacity;
+    return eo;
   }
 
   std::string QueryPayload(const std::string& text, uint64_t min_ts = 0) {
@@ -685,6 +778,171 @@ TEST_F(NetServerTest, PipelinedQueriesComeBackInOrder) {
                  f.status == Status::Code::kResourceExhausted));
     EXPECT_EQ(f.request_id, id);
   }
+}
+
+TEST_F(NetServerTest, PipelinedMixedFramesComeBackInOrder) {
+  // Query, update, malformed-pattern query, stats, query in one send. The
+  // ack, the request-level error and the stats line are ready within the
+  // read pass that dispatches them, while query 1's result can only arrive
+  // later through the loop's posted tasks: every kind must still answer in
+  // submission order.
+  Start();
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  const std::string query =
+      QueryPayload(PatternToText(ChainPattern({"A", "B"})));
+  std::string wire;
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 1, query, &wire);
+  EncodeFrame(FrameKind::kUpdate, Status::Code::kOk, 2,
+              EncodeUpdateRequest(EdgeUpdate::Insert(0, 2)), &wire);
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 3,
+              QueryPayload("this is not a pattern\n"), &wire);
+  EncodeFrame(FrameKind::kStats, Status::Code::kOk, 4, "", &wire);
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 5, query, &wire);
+  ASSERT_TRUE(c.SendRaw(wire));
+
+  const FrameKind want[] = {FrameKind::kQueryResult, FrameKind::kUpdateAck,
+                            FrameKind::kError, FrameKind::kStatsResult,
+                            FrameKind::kQueryResult};
+  for (uint64_t id = 1; id <= 5; ++id) {
+    Frame f;
+    ASSERT_TRUE(c.Recv(&f));
+    EXPECT_EQ(f.request_id, id);
+    EXPECT_EQ(f.kind, want[id - 1]) << "request " << id;
+  }
+}
+
+TEST_F(NetServerTest, ShedErrorsWaitBehindEarlierQueries) {
+  // One blocked worker and a 2-slot executor queue: queries 1 and 2 queue,
+  // every later query is shed at once. The shed errors and the ack must
+  // not overtake queries 1 and 2.
+  Start(ServerOptions{}, /*with_pool=*/true, ApplierPoolOptions{},
+        /*fault=*/nullptr, OneWorker(/*queue_capacity=*/2));
+  WorkerBlocker block(engine_.get());
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  const std::string query =
+      QueryPayload(PatternToText(ChainPattern({"A", "B"})));
+  std::string wire;
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 1, query, &wire);
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 2, query, &wire);
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 3, query, &wire);
+  EncodeFrame(FrameKind::kUpdate, Status::Code::kOk, 4,
+              EncodeUpdateRequest(EdgeUpdate::Insert(0, 2)), &wire);
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 5, query, &wire);
+  EncodeFrame(FrameKind::kStats, Status::Code::kOk, 6, "", &wire);
+  EncodeFrame(FrameKind::kQuery, Status::Code::kOk, 7, query, &wire);
+  ASSERT_TRUE(c.SendRaw(wire));
+  ASSERT_TRUE(WaitForCounter("net.frames_received", 7));
+  EXPECT_FALSE(c.Readable(/*wait_ms=*/50)) << "a response overtook query 1";
+  block.Release();
+
+  for (uint64_t id = 1; id <= 7; ++id) {
+    Frame f;
+    ASSERT_TRUE(c.Recv(&f));
+    EXPECT_EQ(f.request_id, id);
+    if (id <= 2) {
+      EXPECT_EQ(f.kind, FrameKind::kQueryResult) << "request " << id;
+    } else if (id == 4) {
+      EXPECT_EQ(f.kind, FrameKind::kUpdateAck);
+    } else if (id == 6) {
+      EXPECT_EQ(f.kind, FrameKind::kStatsResult);
+    } else {
+      EXPECT_EQ(f.kind, FrameKind::kError) << "request " << id;
+      EXPECT_EQ(f.status, Status::Code::kResourceExhausted);
+    }
+  }
+}
+
+TEST_F(NetServerTest, ServerDestroyedWhileCompletionsInFlight) {
+  // A client resets its connection with queries still queued behind a
+  // blocked worker; the server stops and is destroyed before they finish.
+  // ~Server must wait for those completion callbacks (they Post into its
+  // loop) — no use-after-free, no hang.
+  Start(ServerOptions{}, /*with_pool=*/true, ApplierPoolOptions{},
+        /*fault=*/nullptr, OneWorker());
+  WorkerBlocker block(engine_.get());
+  {
+    TestClient c;
+    ASSERT_TRUE(c.Connect(server_->port()));
+    const std::string query =
+        QueryPayload(PatternToText(ChainPattern({"A", "B"})));
+    std::string wire;
+    for (uint64_t id = 1; id <= 8; ++id) {
+      EncodeFrame(FrameKind::kQuery, Status::Code::kOk, id, query, &wire);
+    }
+    ASSERT_TRUE(c.SendRaw(wire));
+    ASSERT_TRUE(WaitForCounter("net.queries", 8));
+    c.Abort();
+  }
+  ASSERT_TRUE(WaitForCounter("net.connections_closed", 1));
+  server_->RequestStop();
+  runner_.join();  // no connection left: Run returns with queries pending
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroyer([&] {
+    server_.reset();
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(destroyed.load()) << "~Server returned with callbacks pending";
+  block.Release();
+  destroyer.join();
+  EXPECT_TRUE(destroyed.load());
+}
+
+TEST_F(NetServerTest, UpdateBurstCoalescesIntoFewerFlushes) {
+  // 32 update frames in one send are acked within one read pass: the acks
+  // leave in fewer writes than frames.
+  Start();
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  Frame f;
+  ASSERT_TRUE(c.Send(FrameKind::kStats, 1, ""));
+  ASSERT_TRUE(c.Recv(&f));
+  const uint64_t flushes0 = StatsCounter(f, "net.flushes");
+  const uint64_t frames0 = StatsCounter(f, "net.frames_sent");
+
+  std::string wire;
+  for (uint64_t id = 100; id < 132; ++id) {
+    EncodeFrame(FrameKind::kUpdate, Status::Code::kOk, id,
+                EncodeUpdateRequest(EdgeUpdate::Insert(0, 2)), &wire);
+  }
+  ASSERT_TRUE(c.SendRaw(wire));
+  for (uint64_t id = 100; id < 132; ++id) {
+    ASSERT_TRUE(c.Recv(&f));
+    ASSERT_EQ(f.kind, FrameKind::kUpdateAck);
+    EXPECT_EQ(f.request_id, id);
+  }
+
+  // Stats snapshots are taken on the loop before their own frame is sent,
+  // so the deltas cover stats frame 1 and the 32 acks.
+  ASSERT_TRUE(c.Send(FrameKind::kStats, 2, ""));
+  ASSERT_TRUE(c.Recv(&f));
+  const uint64_t frames = StatsCounter(f, "net.frames_sent") - frames0;
+  const uint64_t flushes = StatsCounter(f, "net.flushes") - flushes0;
+  EXPECT_EQ(frames, 33u);
+  EXPECT_LT(flushes, frames);
+}
+
+TEST_F(NetServerTest, LoneQueryIsAnsweredWithOneFlush) {
+  Start();
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  Frame f;
+  ASSERT_TRUE(c.Send(FrameKind::kStats, 1, ""));
+  ASSERT_TRUE(c.Recv(&f));
+  const uint64_t flushes0 = StatsCounter(f, "net.flushes");
+
+  ASSERT_TRUE(c.Send(FrameKind::kQuery, 2,
+                     QueryPayload(PatternToText(ChainPattern({"A", "B"})))));
+  ASSERT_TRUE(c.Recv(&f));
+  ASSERT_EQ(f.kind, FrameKind::kQueryResult);
+
+  ASSERT_TRUE(c.Send(FrameKind::kStats, 3, ""));
+  ASSERT_TRUE(c.Recv(&f));
+  // One flush carried stats frame 1, exactly one more the query result.
+  EXPECT_EQ(StatsCounter(f, "net.flushes") - flushes0, 2u);
 }
 
 TEST_F(NetServerTest, UpdateWithoutPoolIsNotSupported) {
