@@ -1,14 +1,20 @@
 /// \file engine_throughput.cc
 /// \brief End-to-end throughput of the concurrent view-cache query engine:
-/// a 1k-query mixed workload over a generated graph, evaluated twice —
+/// a 1k-query mixed workload over a generated graph, evaluated in four
+/// passes —
 ///
 ///   cold: an engine with no registered views (every plan is direct
 ///         (bounded) simulation on G),
 ///   warm: an engine whose covering views are materialized up front, so
-///         queries answer from the cache via MatchJoin, and
+///         queries answer from the cache via MatchJoin,
 ///   memo: the warm configuration plus the full-result cache
-///         (engine/result_cache.h) — repeats of a (minimized) query at an
-///         unchanged graph version return the memoized Q(G).
+///         (engine/result_cache.h) — repeats of a (minimized) query whose
+///         inputs are unchanged return the memoized Q(G), and
+///   memo under updates: the memo configuration with one random
+///         single-edge insert batch after every 20 queries, checked
+///         against the same stream with the result cache off. Its
+///         result-cache hit rate shows how many memoized answers survive
+///         batches that leave their views unchanged.
 ///
 /// The result cache is disabled in the cold and warm passes so the gated
 /// warm/cold ratio keeps measuring the *view* serving path. All passes run
@@ -17,7 +23,7 @@
 /// and the eviction counters. A standalone harness (not google-benchmark)
 /// because the interesting numbers are the engine's own counters.
 ///
-/// A fourth section measures the observability tax: the warm pass re-run
+/// A last section measures the observability tax: the warm pass re-run
 /// with the metrics registry on vs off (EngineOptions::obs.enabled — the
 /// serve `--no-metrics` baseline), best-of-3 each, interleaved. The hot
 /// path per query is a handful of relaxed atomic adds under a shared gate
@@ -37,6 +43,7 @@
 #include <cstring>
 #include <future>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -57,37 +64,62 @@ struct PassResult {
   EngineStats stats;
 };
 
+/// Runs `num_queries` submissions cycling through `patterns`. With
+/// `insert_every > 0` the queries go in rounds of that many, and after each
+/// round one random single-edge insert batch lands (seeded, so two passes
+/// see the same graph at every query and must agree on every answer).
 PassResult RunPass(QueryEngine& engine, const std::vector<Pattern>& patterns,
-                   size_t num_queries) {
+                   size_t num_queries, size_t insert_every = 0) {
   PassResult out;
+  const size_t num_nodes = engine.num_graph_nodes();
+  std::mt19937_64 rng(7);
   Stopwatch wall;
+  const size_t round = insert_every > 0 ? insert_every : num_queries;
   std::vector<std::future<QueryResponse>> futures;
-  futures.reserve(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    Result<std::future<QueryResponse>> fut =
-        engine.Submit(patterns[i % patterns.size()]);
-    if (!fut.ok()) {
-      std::fprintf(stderr, "submit failed: %s\n",
-                   fut.status().ToString().c_str());
-      std::exit(1);
+  futures.reserve(round);
+  for (size_t begin = 0; begin < num_queries; begin += round) {
+    futures.clear();
+    for (size_t i = begin; i < std::min(begin + round, num_queries); ++i) {
+      Result<std::future<QueryResponse>> fut =
+          engine.Submit(patterns[i % patterns.size()]);
+      if (!fut.ok()) {
+        std::fprintf(stderr, "submit failed: %s\n",
+                     fut.status().ToString().c_str());
+        std::exit(1);
+      }
+      futures.push_back(std::move(*fut));
     }
-    futures.push_back(std::move(*fut));
-  }
-  for (auto& fut : futures) {
-    QueryResponse resp = fut.get();
-    if (!resp.status.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   resp.status.ToString().c_str());
-      std::exit(1);
+    for (auto& fut : futures) {
+      QueryResponse resp = fut.get();
+      if (!resp.status.ok()) {
+        std::fprintf(stderr, "query failed: %s\n",
+                     resp.status.ToString().c_str());
+        std::exit(1);
+      }
+      if (resp.result.matched()) {
+        ++out.matched;
+        out.total_pairs += resp.result.TotalMatches();
+      }
     }
-    if (resp.result.matched()) {
-      ++out.matched;
-      out.total_pairs += resp.result.TotalMatches();
+    if (insert_every > 0) {
+      const NodeId u = static_cast<NodeId>(rng() % num_nodes);
+      const NodeId v = static_cast<NodeId>(rng() % num_nodes);
+      Status st = engine.ApplyUpdates({EdgeUpdate::Insert(u, v)});
+      if (!st.ok()) {
+        std::fprintf(stderr, "update failed: %s\n", st.ToString().c_str());
+        std::exit(1);
+      }
     }
   }
   out.seconds = wall.ElapsedSeconds();
   out.stats = engine.stats();
   return out;
+}
+
+double HitRate(size_t hits, size_t misses) {
+  return hits + misses == 0 ? 0.0
+                            : static_cast<double>(hits) /
+                                  static_cast<double>(hits + misses);
 }
 
 }  // namespace
@@ -157,7 +189,8 @@ int main(int argc, char** argv) {
 
   // Warm/memo passes: covering views registered and materialized up front;
   // the stream answers from the cache (and, for memo, the result memo).
-  auto run_view_pass = [&](const EngineOptions& pass_opts, PassResult* out) {
+  auto run_view_pass = [&](const EngineOptions& pass_opts, PassResult* out,
+                           size_t insert_every = 0) {
     QueryEngine engine(graph, pass_opts);
     for (size_t i = 0; i < patterns.size(); ++i) {
       CoveringViewOptions co;
@@ -180,15 +213,33 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "warmup failed: %s\n", st.ToString().c_str());
       std::exit(1);
     }
-    *out = RunPass(engine, patterns, num_queries);
+    *out = RunPass(engine, patterns, num_queries, insert_every);
   };
   PassResult warm;
   run_view_pass(opts, &warm);
   PassResult memo;
-  {
-    EngineOptions memo_opts = opts;
-    memo_opts.result_cache = ResultCacheOptions{};  // back to the default
-    run_view_pass(memo_opts, &memo);
+  EngineOptions memo_opts = opts;
+  memo_opts.result_cache = ResultCacheOptions{};  // back to the default
+  run_view_pass(memo_opts, &memo);
+
+  // Memo under updates: the memo configuration with one random single-edge
+  // insert batch after every kQueriesPerInsert queries. A memoized MatchJoin
+  // answer stays valid while the views it joined are unchanged, so most
+  // repeats still hit; the same pass with the result cache off sees the same
+  // graph at every query and must agree on every answer.
+  constexpr size_t kQueriesPerInsert = 20;
+  PassResult churn;
+  run_view_pass(memo_opts, &churn, kQueriesPerInsert);
+  PassResult churn_nomemo;
+  run_view_pass(opts, &churn_nomemo, kQueriesPerInsert);
+  if (churn.matched != churn_nomemo.matched ||
+      churn.total_pairs != churn_nomemo.total_pairs) {
+    std::fprintf(stderr,
+                 "RESULT MISMATCH under updates: memo matched=%zu pairs=%zu "
+                 "vs no memo matched=%zu pairs=%zu\n",
+                 churn.matched, churn.total_pairs, churn_nomemo.matched,
+                 churn_nomemo.total_pairs);
+    return 1;
   }
 
   if (cold.matched != warm.matched || cold.total_pairs != warm.total_pairs ||
@@ -207,6 +258,8 @@ int main(int argc, char** argv) {
       static_cast<double>(num_queries) / std::max(warm.seconds, 1e-9);
   const double speedup = warm_qps / std::max(cold_qps, 1e-9);
   const size_t lookups = warm.stats.cache.hits + warm.stats.cache.misses;
+  const double warm_hit_rate =
+      HitRate(warm.stats.cache.hits, warm.stats.cache.misses);
 
   std::printf("cold (direct on G):   %8.2fs  %9.0f q/s  plans: direct=%zu\n",
               cold.seconds, cold_qps, cold.stats.plans_direct);
@@ -221,15 +274,26 @@ int main(int argc, char** argv) {
               memo.seconds, memo_qps, memo.stats.result_cache.hits,
               memo.stats.result_cache.stale_drops,
               memo.stats.result_cache.bytes_cached);
+  const double churn_qps =
+      static_cast<double>(num_queries) / std::max(churn.seconds, 1e-9);
+  const double churn_nomemo_qps =
+      static_cast<double>(num_queries) / std::max(churn_nomemo.seconds, 1e-9);
+  const double churn_hit_rate = HitRate(churn.stats.result_cache.hits,
+                                        churn.stats.result_cache.misses);
+  std::printf("memo under updates:   %8.2fs  %9.0f q/s  (1 insert per %zu "
+              "queries; no memo %.0f q/s)  result_cache: hit_rate=%.3f "
+              "stale_drops=%zu view_extension_changes=%zu/%zu batches\n",
+              churn.seconds, churn_qps, kQueriesPerInsert, churn_nomemo_qps,
+              churn_hit_rate, churn.stats.result_cache.stale_drops,
+              churn.stats.view_extension_changes,
+              churn.stats.update_batches);
   std::printf("speedup (warm/cold):  %8.2fx   (memo/warm: %.2fx)\n", speedup,
               memo_qps / std::max(warm_qps, 1e-9));
   std::printf("matched queries: %zu/%zu, result pairs: %zu (passes agree)\n",
               warm.matched, num_queries, warm.total_pairs);
   std::printf("cache: hit_rate=%.1f%% (%zu/%zu)  evictions=%zu  "
               "installs=%zu  bytes=%zu  warm_queries=%zu\n",
-              lookups == 0 ? 0.0
-                           : 100.0 * static_cast<double>(warm.stats.cache.hits) /
-                                 static_cast<double>(lookups),
+              100.0 * warm_hit_rate,
               warm.stats.cache.hits, lookups, warm.stats.cache.evictions,
               warm.stats.cache.installs, warm.stats.cache.bytes_cached,
               warm.stats.warm_queries);
@@ -277,16 +341,20 @@ int main(int argc, char** argv) {
          {{"seconds", warm.seconds},
           {"queries_per_sec", warm_qps},
           {"speedup", speedup},
-          {"cache_hit_rate",
-           lookups == 0 ? 0.0
-                        : static_cast<double>(warm.stats.cache.hits) /
-                              static_cast<double>(lookups)}});
+          {"cache_hit_rate", warm_hit_rate}});
   jr.Add("memo",
          {{"seconds", memo.seconds},
           {"queries_per_sec", memo_qps},
           {"speedup_vs_warm", memo_qps / std::max(warm_qps, 1e-9)},
           {"result_cache_hits",
            static_cast<double>(memo.stats.result_cache.hits)}});
+  jr.Add("memo_updates",
+         {{"seconds", churn.seconds},
+          {"queries_per_sec", churn_qps},
+          {"queries_per_insert", static_cast<double>(kQueriesPerInsert)},
+          {"result_cache_hit_rate", churn_hit_rate},
+          {"speedup_vs_no_memo",
+           churn_qps / std::max(churn_nomemo_qps, 1e-9)}});
   jr.Add("observability", {{"instrumented_seconds", obs_on_s},
                            {"no_metrics_seconds", obs_off_s},
                            {"overhead_fraction", obs_overhead}});

@@ -9,24 +9,49 @@
 
 namespace gpmv {
 
+namespace {
+
+/// True when `a` and `b` hold the same matches: the `matched` flag and, per
+/// view edge, the same pairs at the same distances. Node snapshots follow
+/// the pairs (edge updates never change node labels or attributes), so
+/// equal matches mean MatchJoin reads the same input from both.
+bool SameMatches(const ViewExtension& a, const ViewExtension& b) {
+  if (a.matched() != b.matched() ||
+      a.num_view_edges() != b.num_view_edges()) {
+    return false;
+  }
+  for (uint32_t e = 0; e < a.num_view_edges(); ++e) {
+    if (a.edge(e).pairs != b.edge(e).pairs ||
+        a.edge(e).distances != b.edge(e).distances) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Status RefreshViewExtension(const ViewDefinition& def, const GraphSnapshot& g,
                             bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation) {
+                            std::vector<std::vector<NodeId>>* relation,
+                            bool* changed) {
   std::vector<std::vector<NodeId>> new_relation;
   GPMV_RETURN_NOT_OK(ComputeBoundedSimulationRelation(
       def.pattern, g, &new_relation, seeded ? relation : nullptr));
   *relation = std::move(new_relation);
   Result<ViewExtension> fresh = ViewExtension::Materialize(def, g, relation);
   GPMV_RETURN_NOT_OK(fresh.status());
+  if (changed != nullptr) *changed = !SameMatches(*ext, *fresh);
   *ext = std::move(fresh).value();
   return Status::OK();
 }
 
 Status RefreshViewExtension(const ViewDefinition& def, const Graph& g,
                             bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation) {
+                            std::vector<std::vector<NodeId>>* relation,
+                            bool* changed) {
   return RefreshViewExtension(def, *GraphSnapshot::Build(g, g.version()),
-                              seeded, ext, relation);
+                              seeded, ext, relation, changed);
 }
 
 namespace {
@@ -236,7 +261,7 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     ViewExtension* ext,
                                     std::vector<std::vector<NodeId>>* relation,
                                     InsertMaintenanceStats* stats,
-                                    DistanceIndex* dindex) {
+                                    DistanceIndex* dindex, bool* changed) {
   InsertMaintenanceStats local;
   if (stats == nullptr) stats = &local;
   if (opts.enable_delta) {
@@ -250,16 +275,20 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
       ++stats->delta_refreshes;
       stats->affected_nodes += dstats.affected_nodes;
       stats->delta_relation_added += dstats.relation_added;
+      // The delta runs only on a fully matched relation, which insertions
+      // keep matched, so the extension changed iff the merge touched a pair.
+      size_t pairs_changed = 0;
       if (def.pattern.IsSimulationPattern()) {
-        stats->delta_matches_added +=
+        pairs_changed =
             MergeInsertDelta(def, g, inserted, *relation, added, ext);
       } else {
         ++stats->bounded_delta_refreshes;
-        const size_t changed = MergeBoundedInsertDelta(
-            def, g, inserted, *relation, added, ext, dindex);
-        stats->delta_matches_added += changed;
-        stats->bounded_matches_added += changed;
+        pairs_changed = MergeBoundedInsertDelta(def, g, inserted, *relation,
+                                                added, ext, dindex);
+        stats->bounded_matches_added += pairs_changed;
       }
+      stats->delta_matches_added += pairs_changed;
+      if (changed != nullptr) *changed = pairs_changed > 0;
       return Status::OK();
     }
     switch (dstats.fallback) {
@@ -279,7 +308,8 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
     ++stats->fallback_disabled;
   }
   ++stats->rematerialize_fallbacks;
-  return RefreshViewExtension(def, g, /*seeded=*/false, ext, relation);
+  return RefreshViewExtension(def, g, /*seeded=*/false, ext, relation,
+                              changed);
 }
 
 bool DeletionMayAffectView(const ViewDefinition& def,

@@ -53,10 +53,13 @@ namespace gpmv {
 /// seeding restricts the search to the seed sets. `relation` must hold the
 /// previous relation when `seeded` is true; it is overwritten either way.
 /// The snapshot overload is the engine's path (one frozen snapshot serves
-/// the whole refresh); the Graph overload freezes internally.
+/// the whole refresh); the Graph overload freezes internally. A non-null
+/// `changed` reports whether the new extension's matches differ from the
+/// old `ext`'s: the `matched` flag, or any view edge's pairs or distances.
 Status RefreshViewExtension(const ViewDefinition& def, const GraphSnapshot& g,
                             bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation);
+                            std::vector<std::vector<NodeId>>* relation,
+                            bool* changed = nullptr);
 Status RefreshViewExtension(const ViewDefinition& def, const Graph& g,
                             bool seeded, ViewExtension* ext,
                             std::vector<std::vector<NodeId>>* relation);
@@ -114,7 +117,9 @@ struct InsertMaintenanceStats {
 /// views a non-null `dindex` receives every added or shortened
 /// (pair, distance) via AddOrShorten, keeping the engine's distance index
 /// in lockstep without a rebuild; on the re-materialize fallback the caller
-/// must refresh `dindex` itself (the merge never ran).
+/// must refresh `dindex` itself (the merge never ran). A non-null `changed`
+/// reports whether the extension changed: on the delta path exactly when
+/// the merge added or shortened a pair, on the fallback by comparison.
 Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     const GraphSnapshot& g,
                                     const std::vector<NodePair>& inserted,
@@ -122,7 +127,8 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     ViewExtension* ext,
                                     std::vector<std::vector<NodeId>>* relation,
                                     InsertMaintenanceStats* stats = nullptr,
-                                    DistanceIndex* dindex = nullptr);
+                                    DistanceIndex* dindex = nullptr,
+                                    bool* changed = nullptr);
 
 /// Constant-time prescreen for *plain simulation* views: removing edge
 /// (u, v) can only shrink the extension when (u, v) was itself a match pair

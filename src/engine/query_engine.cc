@@ -19,9 +19,10 @@ namespace gpmv {
 
 namespace {
 
-/// Retries of the compute-then-install dance before giving up; only
-/// concurrent update batches landing mid-materialization consume attempts.
-constexpr int kMaxInstallRetries = 8;
+/// Optimistic compute-then-install attempts before a cold view is
+/// materialized under the exclusive lock instead; only concurrent update
+/// batches landing mid-materialization consume attempts.
+constexpr int kOptimisticInstallAttempts = 7;
 
 /// Sorted intersection helper for candidate seeding.
 std::vector<NodeId> Intersect(const std::vector<NodeId>& a,
@@ -103,6 +104,8 @@ void QueryEngine::InitMetrics() {
   h_.plans_partial = m.FindOrCreateCounter("engine.plans.partial");
   h_.plans_direct = m.FindOrCreateCounter("engine.plans.direct");
   h_.update_batches = m.FindOrCreateCounter("engine.update_batches");
+  h_.view_extension_changes =
+      m.FindOrCreateCounter("view_cache.extension_changes");
   h_.edges_inserted = m.FindOrCreateCounter("engine.edges_inserted");
   h_.edges_deleted = m.FindOrCreateCounter("engine.edges_deleted");
   h_.slices_rebuilt = m.FindOrCreateCounter("engine.slices_rebuilt");
@@ -459,16 +462,23 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
       resp.snapshot_version = snapshot_->version();
       resp.applied_through_ts = applied_through_ts();
 
-      // Full-result cache: a repeat of the same minimized query against the
-      // same graph version skips pinning, materialization and the fixpoint.
-      // The cache stores the *minimized-shape* result, so queries sharing a
-      // minimized form share one entry and expand through their own map.
+      // Full-result cache: a repeat of the same minimized query whose
+      // inputs are unchanged — the views a MatchJoin answer joined, else
+      // the graph version — skips pinning, materialization and the
+      // fixpoint. The cache stores the *minimized-shape* result, so queries
+      // sharing a minimized form share one entry and expand through their
+      // own map.
       std::string rc_key;
       if (result_cache_.enabled()) {
         obs::SpanScope rc_span(tr, "result_cache.lookup");
         rc_key = PatternToText(plan.minimized.pattern);
         MatchResult cached;
-        if (result_cache_.Lookup(rc_key, snapshot_->version(), &cached)) {
+        const uint64_t head_version = snapshot_->version();
+        auto head_epoch = [&](uint32_t source) {
+          return source == ResultCache::kGraphSource ? head_version
+                                                     : cache_.epoch(source);
+        };
+        if (result_cache_.Lookup(rc_key, head_epoch, &cached)) {
           resp.result_cached = true;
           resp.result = ExpandMinimized(plan.minimized, q, std::move(cached));
         }
@@ -590,9 +600,17 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
         fix_span.Close();
         if (r.ok()) {
           if (result_cache_.enabled()) {
-            // snap is the state actually read (re-read after pinning, which
-            // may have dropped the lock across an update batch).
-            result_cache_.Insert(rc_key, snap.version(), *r);
+            // A MatchJoin answer read only its (pinned, so still current)
+            // views; anything else read snap, the state after pinning.
+            ResultStamp stamp;
+            if (plan.kind == PlanKind::kMatchJoin) {
+              for (uint32_t v : plan.views_needed) {
+                stamp.push_back({v, cache_.epoch(v)});
+              }
+            } else {
+              stamp = ResultCache::GraphStamp(snap.version());
+            }
+            result_cache_.Insert(rc_key, std::move(stamp), *r);
           }
           resp.result = ExpandMinimized(plan.minimized, q, std::move(r).value());
         } else {
@@ -710,13 +728,14 @@ QueryResponse QueryEngine::ExecuteAsOf(const Pattern& q,
     resp.plan_ms = sw.ElapsedMillis();
     sw.Restart();
     // Memoize under the historical cut's version, in an AS OF-segregated
-    // key: the memo's version-compare invalidation would otherwise let a
-    // historical probe stale-drop the head's entry (and vice versa).
+    // key: a head entry and a historical one compare against different
+    // graph versions, so sharing a key would let each stale-drop the other.
     std::string rc_key;
     if (result_cache_.enabled()) {
       rc_key = PatternToText(plan.minimized.pattern) + "\n#asof";
       MatchResult cached;
-      if (result_cache_.Lookup(rc_key, cut.version, &cached)) {
+      if (result_cache_.Lookup(rc_key, ResultCache::AtGraphVersion(cut.version),
+                               &cached)) {
         resp.result_cached = true;
         resp.result = ExpandMinimized(plan.minimized, q, std::move(cached));
       }
@@ -734,7 +753,8 @@ QueryResponse QueryEngine::ExecuteAsOf(const Pattern& q,
       }
       if (r.ok()) {
         if (result_cache_.enabled()) {
-          result_cache_.Insert(rc_key, cut.version, *r);
+          result_cache_.Insert(rc_key, ResultCache::GraphStamp(cut.version),
+                               *r);
         }
         resp.result = ExpandMinimized(plan.minimized, q, std::move(r).value());
       } else {
@@ -790,7 +810,7 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
     }
     *warm = false;
     bool installed = false;
-    for (int attempt = 0; attempt < kMaxInstallRetries && !installed;
+    for (int attempt = 0; attempt < kOptimisticInstallAttempts && !installed;
          ++attempt) {
       // Materialize under the shared lock from the frozen snapshot, so
       // other queries keep running meanwhile.
@@ -809,7 +829,6 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
           // the view is live) and pin before anyone can evict it.
           cache_.Install(v, std::move(ext), std::move(relation),
                          /*pin=*/true);
-          pinned->push_back(v);
           installed = true;
         }
         // else: an update batch landed while we computed; recompute from
@@ -818,9 +837,26 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
       lk.lock();
     }
     if (!installed) {
-      return Status::Internal(
-          "view materialization kept racing update batches");
+      // Every optimistic attempt lost to an update batch (slow execution
+      // against steady batches): the last one holds the exclusive lock
+      // throughout, so no version can move under it.
+      lk.unlock();
+      Status st;
+      {
+        std::unique_lock<std::shared_mutex> ul(mu_);
+        ViewExtension ext;
+        std::vector<std::vector<NodeId>> relation;
+        st = RefreshViewExtension(cache_.views().view(v), *snapshot_,
+                                  /*seeded=*/false, &ext, &relation);
+        if (st.ok()) {
+          cache_.Install(v, std::move(ext), std::move(relation),
+                         /*pin=*/true);
+        }
+      }
+      lk.lock();
+      GPMV_RETURN_NOT_OK(st);
     }
+    pinned->push_back(v);
   }
   return Status::OK();
 }
@@ -1021,6 +1057,7 @@ Status QueryEngine::ApplyUpdatesInternal(const std::vector<EdgeUpdate>& batch,
   }
   size_t inserted_count = 0;
   size_t deleted_count = 0;
+  size_t extension_changes = 0;
   InsertMaintenanceStats delta_stats;
   double delete_phase_ms = 0.0;
   double insert_phase_ms = 0.0;
@@ -1085,10 +1122,11 @@ Status QueryEngine::ApplyUpdatesInternal(const std::vector<EdgeUpdate>& batch,
                             touched.end());
       shard_parent_ = snapshot_;
     }
-    GPMV_RETURN_NOT_OK(cache_.RefreshForUpdates(after_deletions.get(),
-                                                *snapshot_, deleted, inserted,
-                                                opts_.maintenance,
-                                                &delta_stats));
+    Result<size_t> changed = cache_.RefreshForUpdates(
+        after_deletions.get(), *snapshot_, deleted, inserted,
+        opts_.maintenance, &delta_stats);
+    GPMV_RETURN_NOT_OK(changed.status());
+    extension_changes = *changed;
     // Edge updates change neither node count nor label histogram, so the
     // fields the planner reads stay exact in O(1); the degree-profile
     // details are recomputed lazily by graph_statistics().
@@ -1120,6 +1158,7 @@ Status QueryEngine::ApplyUpdatesInternal(const std::vector<EdgeUpdate>& batch,
   if (opts_.obs.enabled) {
     auto group = metrics_.Group();
     h_.update_batches->Add(1);
+    h_.view_extension_changes->Add(extension_changes);
     h_.edges_inserted->Add(inserted_count);
     h_.edges_deleted->Add(deleted_count);
     h_.delta_refreshes->Add(delta_stats.delta_refreshes);
@@ -1249,6 +1288,7 @@ EngineStats QueryEngine::stats() const {
     out.plans_partial = h_.plans_partial->Value();
     out.plans_direct = h_.plans_direct->Value();
     out.update_batches = h_.update_batches->Value();
+    out.view_extension_changes = h_.view_extension_changes->Value();
     out.edges_inserted = h_.edges_inserted->Value();
     out.edges_deleted = h_.edges_deleted->Value();
     out.slices_rebuilt = h_.slices_rebuilt->Value();

@@ -11,8 +11,9 @@
 ///  * view_cache.h   — byte-accounted LRU cache of materialized extensions
 ///                     with pinning and hit/miss/eviction counters;
 ///  * executor.h     — fixed worker pool + bounded queue behind Submit();
-///  * result_cache.h — full-result memo per (minimized query, graph
-///                     version), consulted before any view is pinned;
+///  * result_cache.h — full-result memo per minimized query, stamped with
+///                     the view epochs (MatchJoin) or graph version (else)
+///                     it read, consulted before any view is pinned;
 ///  * core/maintenance — ApplyUpdates() routes edge insert/delete batches
 ///                     through incremental maintenance so cached extensions
 ///                     stay fresh instead of being invalidated: deletions
@@ -30,7 +31,9 @@
 /// their plan reads, which keeps LRU eviction from pulling extensions out
 /// from under a running MatchJoin. A graph version counter detects the
 /// race where an update batch lands between computing a cold extension and
-/// installing it; the install is discarded and recomputed.
+/// installing it; the install is discarded and recomputed, and after a
+/// bounded number of such losses the view is materialized under the
+/// exclusive lock, where no batch can land.
 ///
 /// MVCC snapshot chain (graph/mvcc.h): commits no longer overwrite a single
 /// published-snapshot slot — every commit appends an immutable `SnapshotCut`
@@ -279,6 +282,9 @@ struct EngineStats {
   /// sharded snapshot was mid-rebuild (version mismatch).
   size_t shard_fallbacks = 0;
   size_t update_batches = 0;
+  /// Views whose extension an update batch changed, summed over batches
+  /// (each one invalidates the memoized answers that joined that view).
+  size_t view_extension_changes = 0;
   size_t edges_inserted = 0;
   size_t edges_deleted = 0;
   size_t slices_rebuilt = 0;  ///< shard slices re-frozen by update batches
@@ -580,6 +586,7 @@ class QueryEngine {
     obs::Counter* plans_partial;
     obs::Counter* plans_direct;
     obs::Counter* update_batches;
+    obs::Counter* view_extension_changes;
     obs::Counter* edges_inserted;
     obs::Counter* edges_deleted;
     obs::Counter* slices_rebuilt;
@@ -696,8 +703,10 @@ class QueryEngine {
   /// never re-walk mutable adjacency vectors.
   std::shared_ptr<const GraphSnapshot> snapshot_;
   ViewCache cache_;
-  /// Full-result memo, consulted after planning and before any pin; keys
-  /// carry the snapshot version, so updates invalidate by version compare.
+  /// Full-result memo, consulted after planning and before any pin;
+  /// entries carry dependency stamps (view epochs for MatchJoin answers,
+  /// the snapshot version otherwise), so an update invalidates only the
+  /// answers whose inputs it changed.
   ResultCache result_cache_;
 
   /// Workload history (never held together with mu_). The aggregate

@@ -23,7 +23,7 @@ void ResultCache::EraseLocked(
   map_.erase(it);
 }
 
-bool ResultCache::Lookup(const std::string& key, uint64_t version,
+bool ResultCache::Lookup(const std::string& key, const EpochFn& current,
                          MatchResult* out) {
   if (!enabled()) return false;
   std::shared_ptr<const MatchResult> hit;
@@ -34,10 +34,11 @@ bool ResultCache::Lookup(const std::string& key, uint64_t version,
       ++stats_.misses;
       return false;
     }
-    if (it->second.version != version) {
-      // The graph moved on; the entry can never be valid again (versions
-      // are strictly increasing), so drop it now rather than waiting for
-      // LRU.
+    for (const ResultDep& dep : it->second.stamp) {
+      if (current(dep.source) == dep.epoch) continue;
+      // A dependency moved on; the entry can never be valid again (epochs
+      // and versions only grow, and an evicted view's 0 matches no stamp),
+      // so drop it now rather than waiting for LRU.
       ++stats_.stale_drops;
       EraseLocked(it);
       ++stats_.misses;
@@ -53,19 +54,20 @@ bool ResultCache::Lookup(const std::string& key, uint64_t version,
   return true;
 }
 
-void ResultCache::Insert(const std::string& key, uint64_t version,
+void ResultCache::Insert(const std::string& key, ResultStamp stamp,
                          const MatchResult& result) {
   if (!enabled()) return;
-  const size_t bytes = ResultBytes(key, result);
+  const size_t bytes =
+      ResultBytes(key, result) + stamp.size() * sizeof(ResultDep);
   if (bytes > opts_.budget_bytes) return;  // would evict everything else
   // Copy only after the size check (and outside the mutex).
   auto shared = std::make_shared<const MatchResult>(result);
   std::lock_guard<std::mutex> lk(mu_);
   auto it = map_.find(key);
-  if (it != map_.end()) EraseLocked(it);  // replace (e.g. stale version)
+  if (it != map_.end()) EraseLocked(it);  // replace (e.g. a stale stamp)
   lru_.push_front(key);
   Entry& e = map_[key];
-  e.version = version;
+  e.stamp = std::move(stamp);
   e.result = std::move(shared);
   e.bytes = bytes;
   e.lru_pos = lru_.begin();

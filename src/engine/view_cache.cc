@@ -12,6 +12,7 @@ uint32_t ViewCache::Register(ViewDefinition def) {
   uint32_t id = static_cast<uint32_t>(views_.card());
   views_.Add(std::move(def));
   exts_.emplace_back();
+  epochs_.push_back(0);
   std::lock_guard<std::mutex> lk(meta_mu_);
   entries_.emplace_back();
   ++stats_.registered;
@@ -54,6 +55,7 @@ bool ViewCache::Install(uint32_t v, ViewExtension ext,
     return false;
   }
   exts_[v] = std::move(ext);
+  epochs_[v] = ++last_epoch_;
   e.relation = std::move(relation);
   e.bytes = EntryBytes(exts_[v], e.relation);
   e.materialized = true;
@@ -106,18 +108,19 @@ void ViewCache::EvictLocked(uint32_t v) {
   e.bytes = 0;
   e.materialized = false;
   exts_[v] = ViewExtension();
+  epochs_[v] = 0;
   e.relation.clear();
   e.relation.shrink_to_fit();
   --stats_.materialized;
   ++stats_.evictions;
 }
 
-Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
-                                    const GraphSnapshot& final_snap,
-                                    const std::vector<NodePair>& deleted,
-                                    const std::vector<NodePair>& inserted,
-                                    const InsertMaintenanceOptions& opts,
-                                    InsertMaintenanceStats* delta_stats) {
+Result<size_t> ViewCache::RefreshForUpdates(
+    const GraphSnapshot* after_deletions, const GraphSnapshot& final_snap,
+    const std::vector<NodePair>& deleted,
+    const std::vector<NodePair>& inserted,
+    const InsertMaintenanceOptions& opts,
+    InsertMaintenanceStats* delta_stats) {
   std::lock_guard<std::mutex> lk(meta_mu_);
   // Deletions can only lengthen indexed distances: dirty the tracked
   // sources inside the post-delete balls now, repair against the final
@@ -132,71 +135,96 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
   if (!inserted.empty()) {
     stats_.distance_shortened += dindex_.ApplyInsertions(final_snap, inserted);
   }
+  size_t changed_views = 0;
   for (uint32_t v = 0; v < entries_.size(); ++v) {
-    Entry& e = entries_[v];
-    if (!e.materialized) continue;
-    const ViewDefinition& def = views_.view(v);
-    const size_t bytes_before = e.bytes;
-    bool touched = false;
-    bool deletion_skipped = false;
-
-    // A view the insert phase will re-materialize anyway (delta disabled)
-    // does so once, against the final snapshot — its deletion refresh
-    // would be wasted. Bounded views now take the delta path too.
-    const bool insert_rematerializes = !inserted.empty() && !opts.enable_delta;
-
-    if (!deleted.empty() && !insert_rematerializes) {
-      bool affected = false;
-      for (const NodePair& p : deleted) {
-        if (DeletionMayAffectView(def, e.relation, p.first, p.second)) {
-          affected = true;
-          break;
-        }
-      }
-      if (affected) {
-        // Decremental: seeded from the cached relation, against the
-        // post-deletion snapshot (insertions are not in the graph yet from
-        // this phase's point of view).
-        GPMV_RETURN_NOT_OK(RefreshViewExtension(
-            def, after_deletions != nullptr ? *after_deletions : final_snap,
-            /*seeded=*/true, &exts_[v], &e.relation));
-        touched = true;
-      } else {
-        deletion_skipped = true;
-      }
+    if (!entries_[v].materialized) continue;
+    Result<bool> changed = RefreshEntryLocked(
+        v, after_deletions, final_snap, deleted, inserted, opts, delta_stats);
+    // A failed refresh may have left the extension half-updated: give it a
+    // new epoch too, so no answer stamped with the old one survives.
+    if (!changed.ok() || *changed) {
+      epochs_[v] = ++last_epoch_;
+      ++changed_views;
     }
-    if (!inserted.empty()) {
-      // Track whether this view's insert phase fell back to a full
-      // re-materialization: the bounded merge (which feeds the distance
-      // index in lockstep) never ran then, so the fresh extension's pairs
-      // are re-indexed wholesale below.
-      InsertMaintenanceStats view_stats;
-      GPMV_RETURN_NOT_OK(RefreshViewExtensionInserted(
-          def, final_snap, inserted, opts, &exts_[v], &e.relation,
-          &view_stats, &dindex_));
-      if (delta_stats != nullptr) delta_stats->Merge(view_stats);
-      if (view_stats.rematerialize_fallbacks > 0) {
-        IndexBoundedExtensionLocked(v);
-      }
-      touched = true;
-    }
-    if (touched) {
-      stats_.bytes_cached -= bytes_before;
-      e.bytes = EntryBytes(exts_[v], e.relation);
-      stats_.bytes_cached += e.bytes;
-      ++stats_.refreshes;
-    } else if (deletion_skipped) {
-      // Only count a skip when the *whole batch* left the view untouched —
-      // a prescreen skip followed by an insert-phase refresh is a refresh.
-      ++stats_.refreshes_skipped;
-    }
+    GPMV_RETURN_NOT_OK(changed.status());
   }
   // On-demand repair: one forward BFS per dirty source against the final
   // snapshot restores the exact-or-absent contract before the new graph
   // version becomes queryable.
   dindex_.RepairDirty(final_snap);
   EnforceBudgetLocked();
-  return Status::OK();
+  return changed_views;
+}
+
+Result<bool> ViewCache::RefreshEntryLocked(
+    uint32_t v, const GraphSnapshot* after_deletions,
+    const GraphSnapshot& final_snap, const std::vector<NodePair>& deleted,
+    const std::vector<NodePair>& inserted,
+    const InsertMaintenanceOptions& opts,
+    InsertMaintenanceStats* delta_stats) {
+  Entry& e = entries_[v];
+  const ViewDefinition& def = views_.view(v);
+  const size_t bytes_before = e.bytes;
+  bool touched = false;
+  bool deletion_skipped = false;
+  bool changed = false;
+
+  // A view the insert phase will re-materialize anyway (delta disabled)
+  // does so once, against the final snapshot — its deletion refresh would
+  // be wasted. Bounded views now take the delta path too.
+  const bool insert_rematerializes = !inserted.empty() && !opts.enable_delta;
+
+  if (!deleted.empty() && !insert_rematerializes) {
+    bool affected = false;
+    for (const NodePair& p : deleted) {
+      if (DeletionMayAffectView(def, e.relation, p.first, p.second)) {
+        affected = true;
+        break;
+      }
+    }
+    if (affected) {
+      // Decremental: seeded from the cached relation, against the
+      // post-deletion snapshot (insertions are not in the graph yet from
+      // this phase's point of view). A bounded delete can lengthen a
+      // distance without removing its pair; the comparison sees that too.
+      bool deletion_changed = false;
+      GPMV_RETURN_NOT_OK(RefreshViewExtension(
+          def, after_deletions != nullptr ? *after_deletions : final_snap,
+          /*seeded=*/true, &exts_[v], &e.relation, &deletion_changed));
+      changed = deletion_changed;
+      touched = true;
+    } else {
+      deletion_skipped = true;
+    }
+  }
+  if (!inserted.empty()) {
+    // Track whether this view's insert phase fell back to a full
+    // re-materialization: the bounded merge (which feeds the distance
+    // index in lockstep) never ran then, so the fresh extension's pairs
+    // are re-indexed wholesale below.
+    InsertMaintenanceStats view_stats;
+    bool insert_changed = false;
+    GPMV_RETURN_NOT_OK(RefreshViewExtensionInserted(
+        def, final_snap, inserted, opts, &exts_[v], &e.relation, &view_stats,
+        &dindex_, &insert_changed));
+    changed = changed || insert_changed;
+    if (delta_stats != nullptr) delta_stats->Merge(view_stats);
+    if (view_stats.rematerialize_fallbacks > 0) {
+      IndexBoundedExtensionLocked(v);
+    }
+    touched = true;
+  }
+  if (touched) {
+    stats_.bytes_cached -= bytes_before;
+    e.bytes = EntryBytes(exts_[v], e.relation);
+    stats_.bytes_cached += e.bytes;
+    ++stats_.refreshes;
+  } else if (deletion_skipped) {
+    // Only count a skip when the *whole batch* left the view untouched —
+    // a prescreen skip followed by an insert-phase refresh is a refresh.
+    ++stats_.refreshes_skipped;
+  }
+  return changed;
 }
 
 bool ViewCache::IsMaterialized(uint32_t v) const {

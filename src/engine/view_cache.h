@@ -22,6 +22,15 @@
 /// shape MatchJoin consumes) and the accounting counters stay consistent:
 /// bytes_cached always equals the sum of ApproxBytes over materialized
 /// entries plus their cached relations.
+///
+/// Every materialized view carries an *epoch* drawn from one monotone
+/// counter: a fresh one on Install and whenever RefreshForUpdates actually
+/// changes the extension's matches (pairs, distances or the matched flag,
+/// as the core/maintenance.h refresh paths report them). An unchanged
+/// epoch therefore means MatchJoin would read the same V(G), which is what
+/// lets the result cache keep a view-served answer across update batches
+/// that did not touch its views. An evicted or cold view reads epoch 0,
+/// which no stamp ever holds.
 
 #ifndef GPMV_ENGINE_VIEW_CACHE_H_
 #define GPMV_ENGINE_VIEW_CACHE_H_
@@ -88,6 +97,11 @@ class ViewCache {
   /// [shared] Drops one pin acquired by TryPinMaterialized / Install(pin).
   void Unpin(uint32_t v);
 
+  /// [shared] The epoch of view `v`'s extension (see file comment); 0 when
+  /// `v` is not materialized. Written only under the exclusive lock, so it
+  /// is stable while the caller holds the registry lock.
+  uint64_t epoch(uint32_t v) const { return epochs_[v]; }
+
   /// [exclusive] Installs a freshly materialized extension (and the node
   /// relation that seeds decremental maintenance). Returns true on install;
   /// false when the view is already materialized (a concurrent query won the
@@ -123,12 +137,18 @@ class ViewCache {
   /// insertions min-update tracked entries and absorb the bounded merges'
   /// fresh pairs. Byte accounting is rebuilt per entry; `delta_stats`
   /// (optional) accumulates the insert-path counters.
-  Status RefreshForUpdates(const GraphSnapshot* after_deletions,
-                           const GraphSnapshot& final_snap,
-                           const std::vector<NodePair>& deleted,
-                           const std::vector<NodePair>& inserted,
-                           const InsertMaintenanceOptions& opts,
-                           InsertMaintenanceStats* delta_stats = nullptr);
+  ///
+  /// Each view whose matches the batch changed gets a new epoch; views the
+  /// deletion prescreen skipped, and refreshes that recomputed the same
+  /// matches, keep theirs. Returns the number of views that changed (a
+  /// view whose refresh failed counts as changed and gets a new epoch too).
+  Result<size_t> RefreshForUpdates(const GraphSnapshot* after_deletions,
+                                   const GraphSnapshot& final_snap,
+                                   const std::vector<NodePair>& deleted,
+                                   const std::vector<NodePair>& inserted,
+                                   const InsertMaintenanceOptions& opts,
+                                   InsertMaintenanceStats* delta_stats =
+                                       nullptr);
 
   /// [shared] Is `v` currently materialized? (Racy snapshot — use
   /// TryPinMaterialized to act on the answer.)
@@ -169,6 +189,16 @@ class ViewCache {
   static size_t EntryBytes(const ViewExtension& ext,
                            const std::vector<std::vector<NodeId>>& relation);
 
+  /// Caller holds meta_mu_. Runs one view's share of RefreshForUpdates
+  /// and returns whether its matches changed.
+  Result<bool> RefreshEntryLocked(uint32_t v,
+                                  const GraphSnapshot* after_deletions,
+                                  const GraphSnapshot& final_snap,
+                                  const std::vector<NodePair>& deleted,
+                                  const std::vector<NodePair>& inserted,
+                                  const InsertMaintenanceOptions& opts,
+                                  InsertMaintenanceStats* delta_stats);
+
   /// Callers hold meta_mu_; EvictLocked additionally expects `v` already
   /// unlinked from lru_.
   void EvictLocked(uint32_t v);
@@ -180,6 +210,9 @@ class ViewCache {
   ViewCacheOptions opts_;
   ViewSet views_;
   std::vector<ViewExtension> exts_;
+  /// Parallel to exts_; payload state like exts_ itself (see epoch()).
+  std::vector<uint64_t> epochs_;
+  uint64_t last_epoch_ = 0;
   DistanceIndex dindex_;
 
   mutable std::mutex meta_mu_;

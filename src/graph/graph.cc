@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "graph/snapshot.h"
 
@@ -13,7 +14,7 @@ NodeId Graph::AddNode(const std::vector<std::string>& labels,
   NodeId id = static_cast<NodeId>(out_.size());
   out_.emplace_back();
   in_.emplace_back();
-  node_attrs_.push_back(std::move(attrs));
+  OwnAttrs().push_back(std::move(attrs));
   std::vector<LabelId> lids;
   lids.reserve(labels.size());
   for (const std::string& name : labels) {
@@ -30,6 +31,19 @@ NodeId Graph::AddNode(const std::vector<std::string>& labels,
 
 NodeId Graph::AddNode(const std::string& label, AttributeSet attrs) {
   return AddNode(std::vector<std::string>{label}, std::move(attrs));
+}
+
+std::vector<AttributeSet>& Graph::OwnAttrs() {
+  if (node_attrs_ == nullptr) {  // moved-from graph
+    node_attrs_ = std::make_shared<std::vector<AttributeSet>>();
+  } else if (node_attrs_.use_count() > 1) {
+    node_attrs_ = std::make_shared<std::vector<AttributeSet>>(*node_attrs_);
+  } else {
+    // Sole owner: order this write after the reads of any owner whose
+    // release brought the count down to one.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return *node_attrs_;
 }
 
 namespace {

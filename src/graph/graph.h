@@ -69,13 +69,22 @@ class Graph {
 
   const std::vector<LabelId>& labels(NodeId v) const { return node_labels_[v]; }
   bool HasLabel(NodeId v, LabelId label) const;
-  const AttributeSet& attrs(NodeId v) const { return node_attrs_[v]; }
+  const AttributeSet& attrs(NodeId v) const { return (*node_attrs_)[v]; }
   AttributeSet* mutable_attrs(NodeId v) {
     // Conservatively assume the caller writes: the node section of any
     // cached snapshot goes stale.
     ++version_;
     ++node_section_version_;
-    return &node_attrs_[v];
+    return &OwnAttrs()[v];
+  }
+
+  /// Every node's attributes, shared copy-on-write with copies of this
+  /// graph and with its snapshots: edge updates never touch them, so one
+  /// vector serves every version instead of one copy per graph and per
+  /// node section. A mutation through this graph copies it first while
+  /// anyone else still holds it.
+  std::shared_ptr<const std::vector<AttributeSet>> shared_attrs() const {
+    return node_attrs_;
   }
 
   /// Interns `name`, creating a fresh LabelId on first sight.
@@ -127,12 +136,16 @@ class Graph {
   /// past kMaxDirtyRows.
   void MarkEdgeDirty(NodeId out_node, NodeId in_node);
 
+  /// node_attrs_ for writing; copies it first while it is shared.
+  std::vector<AttributeSet>& OwnAttrs();
+
   static constexpr size_t kMaxDirtyRows = 1u << 16;
 
   std::vector<std::vector<NodeId>> out_;
   std::vector<std::vector<NodeId>> in_;
   std::vector<std::vector<LabelId>> node_labels_;
-  std::vector<AttributeSet> node_attrs_;
+  std::shared_ptr<std::vector<AttributeSet>> node_attrs_ =
+      std::make_shared<std::vector<AttributeSet>>();
   size_t num_edges_ = 0;
 
   std::vector<std::string> label_names_;

@@ -31,12 +31,11 @@ GraphSnapshot::BuildNodeSection(const Graph& g) {
   }
   OffsetsFromSizes(sizes, &section->label_offsets);
   section->label_flat.reserve(section->label_offsets.back());
-  section->attrs.reserve(n);
+  section->attrs = g.shared_attrs();
   for (NodeId v = 0; v < n; ++v) {
     const std::vector<LabelId>& ls = g.labels(v);
     section->label_flat.insert(section->label_flat.end(), ls.begin(),
                                ls.end());
-    section->attrs.push_back(g.attrs(v));
   }
 
   const size_t nl = g.num_labels();

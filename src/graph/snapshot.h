@@ -131,7 +131,7 @@ class GraphSnapshot {
             n.label_flat.data() + n.label_offsets[v + 1]};
   }
   bool HasLabel(NodeId v, LabelId label) const;
-  const AttributeSet& attrs(NodeId v) const { return nodes_->attrs[v]; }
+  const AttributeSet& attrs(NodeId v) const { return (*nodes_->attrs)[v]; }
 
   size_t num_labels() const { return nodes_->label_names.size(); }
   const std::string& LabelName(LabelId id) const {
@@ -165,7 +165,8 @@ class GraphSnapshot {
     std::vector<NodeId> index_flat;
     std::vector<std::string> label_names;
     std::unordered_map<std::string, LabelId> label_ids;
-    std::vector<AttributeSet> attrs;
+    /// Shared with the graph (Graph::shared_attrs), not copied.
+    std::shared_ptr<const std::vector<AttributeSet>> attrs;
     uint64_t node_version = 0;
   };
 

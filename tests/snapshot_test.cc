@@ -134,6 +134,27 @@ TEST(SnapshotTest, AttributeMutationInvalidatesNodeSection) {
   EXPECT_NE(after->attrs(1).Get("score"), nullptr);
 }
 
+TEST(SnapshotTest, AttributesAreSharedCopyOnWrite) {
+  Graph g = MakeGraph(5);
+  g.mutable_attrs(1)->Set("score", 1);
+  auto before = g.Freeze();
+  Graph copy = g;
+  // One attribute vector serves the graph, its copy and its snapshot.
+  EXPECT_EQ(copy.shared_attrs(), g.shared_attrs());
+  EXPECT_EQ(&before->attrs(1), &g.attrs(1));
+
+  // Writing through either graph copies first: the other graph and the
+  // published snapshot keep what they read.
+  copy.mutable_attrs(1)->Set("score", 2);
+  g.mutable_attrs(1)->Set("score", 3);
+  g.AddNode("L0", {});
+  EXPECT_EQ(before->attrs(1).Get("score")->as_int(), 1);
+  EXPECT_EQ(copy.attrs(1).Get("score")->as_int(), 2);
+  EXPECT_EQ(g.attrs(1).Get("score")->as_int(), 3);
+  EXPECT_EQ(g.Freeze()->attrs(1).Get("score")->as_int(), 3);
+  EXPECT_EQ(copy.num_nodes() + 1, g.num_nodes());
+}
+
 TEST(SnapshotTest, RefreezeAfterManyBatchesStaysConsistent) {
   Graph g = MakeGraph(9, 120, 300);
   g.Freeze();
