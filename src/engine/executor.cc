@@ -86,38 +86,6 @@ ThreadPoolStats ThreadPool::stats() const {
   return stats_;
 }
 
-void ParallelInvoke(ThreadPool* pool, std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (pool == nullptr || tasks.size() == 1) {
-    for (auto& t : tasks) t();
-    return;
-  }
-  std::mutex mu;
-  std::condition_variable done;
-  size_t remaining = tasks.size() - 1;  // tasks[0] runs inline below
-  auto finish_one = [&] {
-    std::lock_guard<std::mutex> lk(mu);
-    if (--remaining == 0) done.notify_one();
-  };
-  for (size_t i = 1; i < tasks.size(); ++i) {
-    Status st = pool->Submit([&t = tasks[i], &finish_one] {
-      t();
-      finish_one();
-    });
-    if (!st.ok()) {
-      // Pool shut down underneath us: degrade to inline execution rather
-      // than losing the task (callers treat ParallelInvoke as infallible).
-      tasks[i]();
-      finish_one();
-    }
-  }
-  // The caller is a worker too: it runs the first task instead of
-  // sleeping, which saves a wakeup and keeps small fan-outs cheap.
-  tasks[0]();
-  std::unique_lock<std::mutex> lk(mu);
-  done.wait(lk, [&] { return remaining == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;

@@ -49,9 +49,7 @@ struct ThreadPoolOptions {
   /// Admission control: with true, a Submit that finds the queue at
   /// capacity fast-fails with kResourceExhausted (counted in
   /// ThreadPoolStats::rejected) instead of blocking — overload shedding
-  /// for latency-sensitive callers. ParallelInvoke degrades rejected
-  /// fan-out tasks to inline execution, so shedding the fan-out pool only
-  /// costs parallelism, never correctness.
+  /// for latency-sensitive callers.
   bool shed_when_saturated = false;
   /// Fault injection (common/fault.h): the `executor.task` point rejects a
   /// submission with kResourceExhausted as if the queue were saturated.
@@ -119,16 +117,6 @@ class ThreadPool {
   ThreadPoolStats stats_;
   ThreadPoolObs obs_;
 };
-
-/// Structured fork-join fan-out: runs every task in `tasks` and blocks until
-/// all of them finished. With a pool, tasks are submitted to it (a task the
-/// pool rejects — e.g. after Shutdown — runs inline in the caller); with
-/// `pool == nullptr`, tasks run serially in the caller. Tasks must not
-/// throw. Safe to call from a worker of a *different* pool; calling it with
-/// the pool the caller runs on can deadlock once every worker is blocked in
-/// a ParallelInvoke (the sharded query path therefore uses a dedicated
-/// fan-out pool — see query_engine.h).
-void ParallelInvoke(ThreadPool* pool, std::vector<std::function<void()>> tasks);
 
 }  // namespace gpmv
 

@@ -31,6 +31,9 @@ Status ComputeCandidateSets(const Pattern& q, const Graph& g,
   return Status::OK();
 }
 
+namespace {
+
+/// Pattern node u's slice of ComputeCandidateSets, ascending.
 void ComputeCandidateSet(const Pattern& q, uint32_t u, const GraphSnapshot& g,
                          std::vector<NodeId>* cand) {
   const PatternNode& pn = q.node(u);
@@ -48,6 +51,8 @@ void ComputeCandidateSet(const Pattern& q, uint32_t u, const GraphSnapshot& g,
     }
   }
 }
+
+}  // namespace
 
 Status ComputeCandidateSets(const Pattern& q, const GraphSnapshot& g,
                             std::vector<std::vector<NodeId>>* cand) {

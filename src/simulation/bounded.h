@@ -36,12 +36,6 @@ Status ComputeCandidateSets(const Pattern& q, const Graph& g,
 Status ComputeCandidateSets(const Pattern& q, const GraphSnapshot& g,
                             std::vector<std::vector<NodeId>>* cand);
 
-/// Single-pattern-node slice of ComputeCandidateSets (same label/predicate
-/// logic, ascending output) — the unit the sharded engine fans out per
-/// pattern node while building a candidate space.
-void ComputeCandidateSet(const Pattern& q, uint32_t u, const GraphSnapshot& g,
-                         std::vector<NodeId>* cand);
-
 /// Computes the maximum bounded-simulation node relation sim(u) per pattern
 /// node. All-empty sets signal "no match". A non-null `seed` replaces the
 /// label-index candidates (see ComputeSimulationRelation); each seed set

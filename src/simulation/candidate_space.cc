@@ -24,30 +24,6 @@ void CandidateSpace::Assign(uint32_t u, std::vector<NodeId> candidates) {
   AssignPreranked(u, std::move(candidates));
 }
 
-void CandidateSpace::ResetForConcurrentAssign(size_t num_pattern_nodes,
-                                              size_t num_graph_nodes) {
-  num_graph_nodes_ = num_graph_nodes;
-  total_ranks_ = 0;
-  nodes_.assign(num_pattern_nodes, {});
-  inv_.assign(num_pattern_nodes, {});  // inners filled per assignment
-}
-
-void CandidateSpace::AssignPrerankedConcurrent(uint32_t u,
-                                               std::vector<NodeId> candidates) {
-  std::vector<uint32_t>& inv = inv_[u];
-  inv.assign(num_graph_nodes_, kNoRank);
-  for (uint32_t r = 0; r < candidates.size(); ++r) {
-    GPMV_DCHECK(candidates[r] < num_graph_nodes_);
-    inv[candidates[r]] = r;
-  }
-  nodes_[u] = std::move(candidates);
-}
-
-void CandidateSpace::FinishConcurrentAssign() {
-  total_ranks_ = 0;
-  for (const auto& ns : nodes_) total_ranks_ += ns.size();
-}
-
 void CandidateSpace::AssignPreranked(uint32_t u,
                                      std::vector<NodeId> candidates) {
   total_ranks_ -= nodes_[u].size();

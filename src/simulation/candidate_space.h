@@ -29,11 +29,9 @@
 ///  * via `Assign`/`AssignPreranked`-from-sorted-input, rank order equals
 ///    ascending node-id order, so iterating ranks 0..size(u)-1 yields a
 ///    sorted candidate list — matchers rely on this to emit sorted sim
-///    sets without re-sorting (the sharded engine additionally relies on
-///    it to give each shard's owned ranks a deterministic order);
+///    sets without re-sorting;
 ///  * a built space is immutable-in-practice: every accessor is const and
-///    any number of threads may translate concurrently (the engine shares
-///    one space across all per-shard fixpoint tasks of a query).
+///    any number of threads may translate concurrently.
 
 #ifndef GPMV_SIMULATION_CANDIDATE_SPACE_H_
 #define GPMV_SIMULATION_CANDIDATE_SPACE_H_
@@ -78,19 +76,6 @@ class CandidateSpace {
   /// sparse mode rank() must not be called for u afterwards (its binary
   /// search needs ascending order) — such callers keep their own map.
   void AssignPreranked(uint32_t u, std::vector<NodeId> candidates);
-
-  /// Fan-out building (the sharded engine): shapes the space like
-  /// Reset(dense_inverse = true) but defers the per-pattern-node inverse
-  /// fills to AssignPrerankedConcurrent, which distinct threads may call
-  /// for *distinct* `u` concurrently (each touches only u's slots, and the
-  /// |V|-sized kNoRank fill — the expensive part of a dense Reset — runs
-  /// inside the per-node call). Call FinishConcurrentAssign after joining;
-  /// until then total_ranks() is unspecified. Every pattern node must be
-  /// assigned before rank() is consulted.
-  void ResetForConcurrentAssign(size_t num_pattern_nodes,
-                                size_t num_graph_nodes);
-  void AssignPrerankedConcurrent(uint32_t u, std::vector<NodeId> candidates);
-  void FinishConcurrentAssign();
 
   size_t num_pattern_nodes() const { return nodes_.size(); }
 

@@ -5,8 +5,7 @@
 /// two-phase maintenance path (QueryEngine::ApplyStreamBatch — deletions,
 /// then insert deltas), so snapshots publish continuously while Submit and
 /// Query keep running. Queries never wait on ingestion: the only exclusive
-/// section is the per-micro-batch apply, and the sharded slice rebuild
-/// still runs outside it through the PR 3 pending/coalesce hand-off.
+/// section is the per-micro-batch apply.
 ///
 /// Adaptive micro-batching: the applier drains whatever is queued, up to a
 /// moving cap. While an apply is in flight the queue accumulates, so batch

@@ -17,7 +17,7 @@
 ///  * `AS OF ts` ≡ prefix-replay ground truth: for every stream timestamp
 ///    T, a historical query against the retained cut at T must be
 ///    bit-identical to a fresh engine that replayed exactly the op prefix
-///    <= T — across delta maintenance on/off × sharding K ∈ {1, 4}.
+///    <= T — across delta maintenance on/off × K ∈ {1, 4} stream slices.
 ///
 /// Deterministic throughout (no seeds): every stream is a fixed op list
 /// committed at explicit timestamps.
@@ -32,6 +32,7 @@
 
 #include "engine/query_engine.h"
 #include "graph/mvcc.h"
+#include "stream/applier_pool.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
 #include "workload/pattern_gen.h"
@@ -325,13 +326,12 @@ class AsOfReplayTest
     : public ::testing::TestWithParam<std::tuple<bool, uint32_t>> {
  protected:
   bool enable_delta() const { return std::get<0>(GetParam()); }
-  uint32_t shards() const { return std::get<1>(GetParam()); }
+  uint32_t slices() const { return std::get<1>(GetParam()); }
 
   std::unique_ptr<QueryEngine> MakeEngine(const Graph& g) const {
     EngineOptions opts;
     opts.pool.num_threads = 2;
     opts.maintenance.enable_delta = enable_delta();
-    opts.sharding.num_shards = shards();
     opts.mvcc.retain = 64;  // retain the whole stream for AS OF probing
     auto engine = std::make_unique<QueryEngine>(g, opts);
     // A registered view gives head queries a view plan while AS OF must
@@ -349,12 +349,20 @@ TEST_P(AsOfReplayTest, HistoricalCutsMatchPrefixReplayGroundTruth) {
   const std::vector<EdgeUpdate> ops = AsOfOps();
   const std::vector<Pattern> probes = AsOfProbes();
 
-  // Stream every op as its own slice-0 commit at ts 1..N: each publishes a
-  // prefix-consistent cut with watermark exactly its ts.
+  // Stream every op as its own commit at ts 1..N on the slice its edge
+  // routes to. The other slices heartbeat to ts first (they can never see
+  // an op <= ts), so each commit publishes a prefix-consistent cut with
+  // watermark exactly its ts.
   std::unique_ptr<QueryEngine> streamed = MakeEngine(base);
+  streamed->ConfigureStreamSlices(slices());
   for (size_t i = 0; i < ops.size(); ++i) {
+    const size_t slice = ApplierPool::SliceOf(ops[i].u, ops[i].v, slices());
+    for (size_t other = 0; other < slices(); ++other) {
+      if (other != slice) streamed->AdvanceStreamSlice(other, i + 1);
+    }
     ASSERT_TRUE(
-        streamed->ApplyStreamBatchSlice({ops[i]}, i + 1, 0).ok());
+        streamed->ApplyStreamBatchSlice({ops[i]}, i + 1, slice).ok());
+    ASSERT_EQ(streamed->applied_through_ts(), i + 1);
   }
   ASSERT_EQ(streamed->applied_through_ts(), ops.size());
 
@@ -372,7 +380,7 @@ TEST_P(AsOfReplayTest, HistoricalCutsMatchPrefixReplayGroundTruth) {
       ASSERT_TRUE(hist.status.ok()) << hist.status.ToString();
       EXPECT_TRUE(hist.as_of);
       EXPECT_EQ(hist.applied_through_ts, t);
-      EXPECT_EQ(hist.plan, PlanKind::kDirect);  // historical: no views/shards
+      EXPECT_EQ(hist.plan, PlanKind::kDirect);  // historical: no views
 
       QueryResponse truth = replay->Query(q);
       ASSERT_TRUE(truth.status.ok()) << truth.status.ToString();
@@ -396,6 +404,8 @@ TEST_P(AsOfReplayTest, HistoricalCutsMatchPrefixReplayGroundTruth) {
   EXPECT_TRUE(streamed->CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
+// The instance keeps its older name so the case names stay stable across
+// the project's history.
 INSTANTIATE_TEST_SUITE_P(
     DeltaByShards, AsOfReplayTest,
     ::testing::Combine(::testing::Values(false, true),

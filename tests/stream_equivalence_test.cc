@@ -13,10 +13,12 @@
 ///  * the *per-op* oracle: every raw op applied as its own singleton batch,
 ///    in timestamp order — pure sequential semantics, no canonicalization.
 ///
-/// The whole matrix runs across delta maintenance on/off × sharding
-/// K ∈ {1, 4}, so the streamed path is pinned against every update-path
-/// configuration the engine has. FlushAndWait quiesces the applier before
-/// each comparison, which is what makes the checks deterministic.
+/// The whole matrix runs across delta maintenance on/off × K ∈ {1, 4}
+/// stream appliers (K = 1 is a lone StreamApplier, K = 4 an ApplierPool
+/// fed in stream order), so the streamed path is pinned against every
+/// update-path configuration the engine has. FlushAndWait quiesces the
+/// appliers before each comparison, which is what makes the checks
+/// deterministic.
 ///
 /// The multi-applier suite extends the oracle to the ApplierPool: the same
 /// equivalence must hold when K ∈ {2, 3, 4} appliers drain edge-disjoint
@@ -111,11 +113,10 @@ std::vector<EdgeUpdate> MakeOps(const Graph& g, size_t count, uint64_t seed) {
 }
 
 std::unique_ptr<QueryEngine> MakeEngine(const EquivalenceFixture& f,
-                                        bool enable_delta, uint32_t shards) {
+                                        bool enable_delta) {
   EngineOptions opts;
   opts.pool.num_threads = 2;
   opts.maintenance.enable_delta = enable_delta;
-  opts.sharding.num_shards = shards;
   opts.result_cache.budget_bytes = 0;  // compare evaluations, not memo hits
   auto engine = std::make_unique<QueryEngine>(f.graph, opts);
   for (const ViewDefinition& def : f.views.views()) {
@@ -149,7 +150,7 @@ class StreamEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<bool, uint32_t>> {
  protected:
   bool enable_delta() const { return std::get<0>(GetParam()); }
-  uint32_t shards() const { return std::get<1>(GetParam()); }
+  uint32_t appliers() const { return std::get<1>(GetParam()); }
 };
 
 TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
@@ -158,10 +159,9 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
     EquivalenceFixture f = MakeFixture(seed);
     const std::vector<EdgeUpdate> ops = MakeOps(f.graph, 240, 9000 + seed);
 
-    // Streamed: through the queue + applier, in micro-batches.
-    std::unique_ptr<QueryEngine> streamed =
-        MakeEngine(f, enable_delta(), shards());
-    {
+    // Streamed: through the queue + applier(s), in micro-batches.
+    std::unique_ptr<QueryEngine> streamed = MakeEngine(f, enable_delta());
+    if (appliers() == 1) {
       UpdateStream stream;
       StreamApplierOptions ao;
       ao.max_batch = 16;  // several micro-batches per stream
@@ -169,16 +169,23 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
       for (const EdgeUpdate& op : ops) ASSERT_NE(stream.Push(op), 0u);
       ASSERT_TRUE(applier.FlushAndWait().ok());
       ASSERT_TRUE(applier.Stop().ok());
+    } else {
+      ApplierPoolOptions po;
+      po.num_appliers = appliers();
+      po.applier.max_batch = 16;
+      ApplierPool pool(streamed.get(), po);
+      for (const EdgeUpdate& op : ops) ASSERT_NE(pool.Push(op), 0u);
+      ASSERT_TRUE(pool.FlushAndWait().ok());
+      ASSERT_TRUE(pool.Stop().ok());
     }
+    EXPECT_EQ(streamed->applied_through_ts(), ops.size());
 
     // Oracle 1: canonical last-op-wins batch, applied in one call.
-    std::unique_ptr<QueryEngine> batched =
-        MakeEngine(f, enable_delta(), shards());
+    std::unique_ptr<QueryEngine> batched = MakeEngine(f, enable_delta());
     ASSERT_TRUE(batched->ApplyUpdates(UpdateStream::Coalesce(ops)).ok());
 
     // Oracle 2: raw sequential singleton batches.
-    std::unique_ptr<QueryEngine> per_op =
-        MakeEngine(f, enable_delta(), shards());
+    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, enable_delta());
     for (const EdgeUpdate& op : ops) {
       ASSERT_TRUE(per_op->ApplyUpdates({op}).ok());
     }
@@ -209,6 +216,8 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
   }
 }
 
+// K counts stream slices, one applier each. The instance keeps its older
+// name so the case names stay stable across the project's history.
 INSTANTIATE_TEST_SUITE_P(
     DeltaByShards, StreamEquivalenceTest,
     ::testing::Combine(::testing::Values(false, true),
@@ -225,8 +234,8 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
   // Stream in two halves with a flush between; an engine fed the same two
   // halves as plain batches must agree at BOTH boundaries — the quiesce
   // point is a real consistent cut, not just an eventual state.
-  std::unique_ptr<QueryEngine> streamed = MakeEngine(f, true, 1);
-  std::unique_ptr<QueryEngine> oracle = MakeEngine(f, true, 1);
+  std::unique_ptr<QueryEngine> streamed = MakeEngine(f, true);
+  std::unique_ptr<QueryEngine> oracle = MakeEngine(f, true);
   UpdateStream stream;
   StreamApplier applier(streamed.get(), &stream, {});
 
@@ -315,10 +324,10 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
     const std::vector<EdgeUpdate> ops = MakeOps(f.graph, 64, 5000 + seed);
 
     // Sequential oracles, computed once per base stream.
-    std::unique_ptr<QueryEngine> batched = MakeEngine(f, true, 1);
+    std::unique_ptr<QueryEngine> batched = MakeEngine(f, true);
     ASSERT_TRUE(batched->ApplyUpdates(UpdateStream::Coalesce(ops)).ok());
     const std::vector<MatchResult> ba = Answers(batched.get(), f);
-    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, true, 1);
+    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, true);
     for (const EdgeUpdate& op : ops) {
       ASSERT_TRUE(per_op->ApplyUpdates({op}).ok());
     }
@@ -336,7 +345,7 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
       for (uint64_t sched = 0; sched < kSchedulesPerWidth; ++sched) {
         SCOPED_TRACE("appliers=" + std::to_string(k) +
                      " schedule=" + std::to_string(sched));
-        std::unique_ptr<QueryEngine> engine = MakeEngine(f, true, 1);
+        std::unique_ptr<QueryEngine> engine = MakeEngine(f, true);
         ApplierPoolOptions po;
         po.num_appliers = k;
         po.applier.max_batch = 8;  // several micro-batches per slice

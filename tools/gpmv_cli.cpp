@@ -12,7 +12,6 @@
 ///   gpmv_cli serve <graph> <queries> [--views <views>] [--threads N]
 ///                  [--cache-mb M] [--result-cache-mb M] [--warm]
 ///                  [--advise K] [--updates <file>] [--no-delta]
-///                  [--shards K] [--hash-shards]
 ///                  [--stream <file>] [--stream-rate N] [--max-lag-ms M]
 ///                  [--appliers N] [--as-of T]
 ///                  [--metrics-out <file>] [--metrics-interval-ms N]
@@ -28,10 +27,7 @@
 /// through the stream — deletions refresh cached extensions decrementally
 /// and insertions run the localized delta-simulation path (`--no-delta`
 /// forces per-batch re-materialization instead). `--result-cache-mb` sizes
-/// the full-result memo in front of the view cache (0 disables it). `--shards K` slices the frozen snapshot into K
-/// per-shard CSR partitions (shard/sharded_snapshot.h) and fans
-/// graph-walking plans out across them (`--hash-shards` selects the hash
-/// edge-cut instead of degree-balanced ranges).
+/// the full-result memo in front of the view cache (0 disables it).
 ///
 /// `--stream <file>` ingests the same update-file format *concurrently*
 /// with the queries instead of as one stop-the-world batch: a producer
@@ -51,8 +47,8 @@
 /// Time travel: `--as-of T` runs every query `AS OF` stream timestamp T —
 /// each pins the newest retained prefix-consistent cut with watermark <= T
 /// from the engine's MVCC snapshot chain (graph/mvcc.h) and evaluates
-/// directly on that frozen graph (views/shards reflect only the head, so
-/// historical plans never fan out). A query can override per-query with an
+/// directly on that frozen graph (views reflect only the head, so
+/// historical plans are always direct). A query can override per-query with an
 /// `@asof<ts>` name suffix in the query file (`view q3@asof17`); suffixed
 /// names win over the global flag. AS OF misses (T predates the retained
 /// window) report as FAIL/NotFound per query, not a serve error.
@@ -75,8 +71,8 @@
 /// epoll server (net/server.h): query/update/stats frames multiplexed onto
 /// the engine's worker pool and an ApplierPool of `--appliers` ingest
 /// slices. `--updates`/`--stream` are file-driven and therefore mutually
-/// exclusive with `--port`; everything else (views, warm, shards, metrics,
-/// fault spec) composes. Port 0 binds an ephemeral port; the bound port is
+/// exclusive with `--port`; everything else (views, warm, metrics, fault
+/// spec) composes. Port 0 binds an ephemeral port; the bound port is
 /// printed as `listening on port N` (stdout, flushed) — the loadgen and CI
 /// smoke wait for that line. The server exits cleanly on a kShutdown frame
 /// (bench/net_loadgen --shutdown), SIGINT, or SIGTERM.
@@ -141,7 +137,6 @@ int Usage() {
       "  gpmv_cli serve <graph> <queries> [--views <views>] [--threads N]\n"
       "                 [--cache-mb M] [--result-cache-mb M] [--warm]\n"
       "                 [--advise K] [--updates <file>] [--no-delta]\n"
-      "                 [--shards K] [--hash-shards]\n"
       "                 [--stream <file>] [--stream-rate N] "
       "[--max-lag-ms M]\n"
       "                 [--appliers N] [--as-of T]\n"
@@ -200,7 +195,7 @@ bool ValidateServeFlags(const std::vector<std::string>& args,
   static const char* kValueFlags[] = {
       "--views",       "--threads",     "--cache-mb",
       "--result-cache-mb", "--advise",  "--updates",
-      "--shards",      "--stream",      "--stream-rate",
+      "--stream",      "--stream-rate",
       "--max-lag-ms",  "--appliers",    "--as-of",
       "--port",
       "--metrics-out", "--metrics-interval-ms",
@@ -208,7 +203,7 @@ bool ValidateServeFlags(const std::vector<std::string>& args,
       "--fault-spec"};
   for (size_t i = flags_start; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (a == "--warm" || a == "--hash-shards" || a == "--no-delta" ||
+    if (a == "--warm" || a == "--no-delta" ||
         a == "--trace" || a == "--no-metrics") {
       continue;
     }
@@ -594,13 +589,11 @@ int CmdServe(const std::vector<std::string>& args) {
   }
 
   EngineOptions opts;
-  size_t threads = 0, cache_mb = 0, result_cache_mb = 0, advise = 0,
-         shards = 0;
+  size_t threads = 0, cache_mb = 0, result_cache_mb = 0, advise = 0;
   if (!NumericFlag(args, "--threads", 0, &threads) ||
       !NumericFlag(args, "--cache-mb", 64, &cache_mb) ||
       !NumericFlag(args, "--result-cache-mb", 8, &result_cache_mb) ||
-      !NumericFlag(args, "--advise", 0, &advise) ||
-      !NumericFlag(args, "--shards", 1, &shards)) {
+      !NumericFlag(args, "--advise", 0, &advise)) {
     return Usage();
   }
   opts.pool.num_threads = threads;
@@ -612,10 +605,6 @@ int CmdServe(const std::vector<std::string>& args) {
   opts.cache.budget_bytes = cache_mb << 20;
   opts.result_cache.budget_bytes = result_cache_mb << 20;
   opts.maintenance.enable_delta = !HasFlag(args, "--no-delta");
-  opts.sharding.num_shards = static_cast<uint32_t>(shards);
-  if (HasFlag(args, "--hash-shards")) {
-    opts.sharding.partition = ShardingOptions::Partition::kHash;
-  }
 
   size_t metrics_interval_ms = 0, slow_query_ms = 0;
   if (!NumericFlag(args, "--metrics-interval-ms", 1000,
@@ -807,14 +796,6 @@ int CmdServe(const std::vector<std::string>& args) {
               queries.card(), engine.num_graph_nodes(),
               engine.num_graph_edges(), engine.num_views(),
               engine.num_worker_threads());
-  if (auto ss = engine.sharded_snapshot()) {
-    std::printf("sharding: %u %s slices, %zu boundary replicas, %zu bytes\n",
-                ss->num_shards(),
-                opts.sharding.partition == ShardingOptions::Partition::kHash
-                    ? "hash"
-                    : "range",
-                ss->total_replicas(), ss->ApproxBytes());
-  }
   Stopwatch wall;
 
   // Concurrent streamed ingestion: producer thread pushes the op file
@@ -976,8 +957,6 @@ int CmdServe(const std::vector<std::string>& args) {
       "relation_added=%zu matches_added=%zu bounded_refreshes=%zu "
       "bounded_matches=%zu\n"
       "distance index: entries=%zu repairs=%zu shortened=%zu\n"
-      "shards: queries=%zu fallbacks=%zu rounds=%zu messages=%zu "
-      "frontier=%zu slices_rebuilt=%zu reused=%zu\n"
       "mvcc: chain_depth=%zu pinned=%zu gc=%zu asof=%zu asof_miss=%zu "
       "ryw_waits=%zu ryw_timeouts=%zu appliers=%zu\n",
       s.queries, secs, secs > 0 ? static_cast<double>(s.queries) / secs : 0.0,
@@ -996,9 +975,6 @@ int CmdServe(const std::vector<std::string>& args) {
       s.delta.bounded_delta_refreshes, s.delta.bounded_matches_added,
       s.cache.distance_entries, s.cache.distance_repairs,
       s.cache.distance_shortened,
-      s.sharded_queries, s.shard_fallbacks,
-      s.shard.rounds, s.shard.messages, s.shard.frontier_msgs,
-      s.slices_rebuilt, s.slices_reused,
       s.mvcc_chain_depth, s.mvcc_pinned_cuts, s.mvcc_gc_collected,
       s.mvcc_asof_queries, s.mvcc_asof_misses, s.mvcc_ryw_waits,
       s.mvcc_ryw_timeouts, s.stream_appliers);
