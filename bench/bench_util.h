@@ -1,7 +1,8 @@
 /// \file bench_util.h
 /// \brief Shared scaffolding for the benchmarks: the machine-readable JSON
-/// reporter used by every standalone harness (`--json <path>`), and the
-/// fixture helpers of the figure-reproduction (google-benchmark) binaries.
+/// reporter used by every standalone harness (`--json <path>`), the
+/// interleaved trial runner behind ratio gates, and the fixture helpers of
+/// the figure-reproduction (google-benchmark) binaries.
 ///
 /// The JSON section has no dependencies beyond the standard library so the
 /// standalone harnesses (engine_throughput, fixpoint_microbench,
@@ -21,8 +22,10 @@
 #ifndef GPMV_BENCH_BENCH_UTIL_H_
 #define GPMV_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -191,6 +194,69 @@ inline bool ParsePositionals(int argc, char** argv, const char* usage,
     positionals[positional++] = static_cast<size_t>(value);
   }
   return true;
+}
+
+/// The spread of repeated trials of one quantity. A speed claim or gate
+/// reads `median` and prints the band: a single sample of a ~ms-long pass
+/// moves tens of percent between identical runs.
+struct TrialStats {
+  size_t n = 0;
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double iqr = 0.0;  ///< third minus first quartile (linear interpolation)
+
+  static TrialStats Of(std::vector<double> xs) {
+    TrialStats t;
+    if (xs.empty()) return t;
+    std::sort(xs.begin(), xs.end());
+    auto quantile = [&xs](double q) {
+      const double pos = q * static_cast<double>(xs.size() - 1);
+      const size_t lo = static_cast<size_t>(pos);
+      const size_t hi = std::min(lo + 1, xs.size() - 1);
+      return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+    };
+    t.n = xs.size();
+    t.median = quantile(0.5);
+    t.min = xs.front();
+    t.max = xs.back();
+    t.iqr = quantile(0.75) - quantile(0.25);
+    return t;
+  }
+
+  /// The `<name>` (median), `<name>_min`, `<name>_max` and `<name>_iqr`
+  /// columns of a JsonReport row.
+  std::vector<std::pair<std::string, double>> Columns(
+      const std::string& name) const {
+    return {{name, median},
+            {name + "_min", min},
+            {name + "_max", max},
+            {name + "_iqr", iqr}};
+  }
+};
+
+/// Per-arm and per-pair results of RunInterleaved.
+struct InterleavedTrials {
+  TrialStats a;
+  TrialStats b;
+  TrialStats ratio;  ///< b / a within each pair
+};
+
+/// Runs `pairs` trials of two arms interleaved A, B, A, B, ... (not all-A
+/// then all-B), so slow host drift (frequency, neighbours) lands on both
+/// arms alike, and summarizes each arm plus the per-pair ratio b / a.
+/// Each callable runs one trial and returns its measured value.
+inline InterleavedTrials RunInterleaved(size_t pairs,
+                                        const std::function<double()>& a,
+                                        const std::function<double()>& b) {
+  std::vector<double> as, bs, ratios;
+  for (size_t i = 0; i < pairs; ++i) {
+    as.push_back(a());
+    bs.push_back(b());
+    ratios.push_back(bs.back() / std::max(as.back(), 1e-12));
+  }
+  return {TrialStats::Of(std::move(as)), TrialStats::Of(std::move(bs)),
+          TrialStats::Of(std::move(ratios))};
 }
 
 /// Global size multiplier (GPMV_BENCH_SCALE, default 1.0).

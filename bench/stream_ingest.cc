@@ -1,8 +1,8 @@
 /// \file stream_ingest.cc
 /// \brief Streaming-ingestion benchmark: sustained updates/sec and query
-/// latency *while* ingesting, streaming (UpdateStream + StreamApplier
-/// micro-batches) head-to-head against stop-the-world bulk batches over the
-/// same op sequence.
+/// latency *while* ingesting, streaming (micro-batches through an
+/// ApplierPool of one applier) head-to-head against stop-the-world bulk
+/// batches over the same op sequence.
 ///
 ///   ./build/bench/stream_ingest [ops] [--min-speedup X] [--json path]
 ///
@@ -37,7 +37,7 @@
 #include "common/stopwatch.h"
 #include "engine/query_engine.h"
 #include "pattern/pattern_builder.h"
-#include "stream/stream_applier.h"
+#include "stream/applier_pool.h"
 #include "stream/update_stream.h"
 #include "workload/graph_gen.h"
 #include "workload/pattern_gen.h"
@@ -241,22 +241,22 @@ int main(int argc, char** argv) {
   std::printf("graph: %zu nodes, %zu edges; %zu views; %zu streamed ops\n\n",
               base.num_nodes(), base.num_edges(), views.size(), ops.size());
 
-  // --- streaming pass: micro-batches through UpdateStream + applier ------
+  // --- streaming pass: micro-batches through an ApplierPool of one ------
   std::unique_ptr<QueryEngine> stream_engine = MakeEngine(base, views, probes);
   PassResult streamed =
       RunPass(stream_engine.get(), probes, ops.size(), [&](QueryEngine* e) {
-        UpdateStreamOptions so;
-        so.queue_capacity = 1024;
-        UpdateStream stream(so);
-        StreamApplier applier(e, &stream, {});
+        ApplierPoolOptions po;
+        po.num_appliers = 1;
+        po.stream.queue_capacity = 1024;
+        ApplierPool pool(e, po);
         for (const EdgeUpdate& op : ops) {
-          if (stream.Push(op) == 0) {
+          if (pool.Push(op) == 0) {
             std::fprintf(stderr, "push failed\n");
             std::exit(1);
           }
         }
-        Status st = applier.FlushAndWait();
-        if (!st.ok() || !applier.Stop().ok()) {
+        Status st = pool.FlushAndWait();
+        if (!st.ok() || !pool.Stop().ok()) {
           std::fprintf(stderr, "stream apply failed: %s\n",
                        st.ToString().c_str());
           std::exit(1);

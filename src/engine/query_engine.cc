@@ -811,11 +811,6 @@ Status QueryEngine::ApplyUpdates(const std::vector<EdgeUpdate>& batch) {
   return ApplyUpdatesInternal(batch, /*through_ts=*/0);
 }
 
-Status QueryEngine::ApplyStreamBatch(const std::vector<EdgeUpdate>& batch,
-                                     uint64_t through_ts) {
-  return ApplyUpdatesInternal(batch, through_ts, /*slice=*/0);
-}
-
 Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
                                           uint64_t through_ts, size_t slice) {
   if (slice >= slice_clock_.num_slices()) {

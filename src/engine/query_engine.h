@@ -327,24 +327,17 @@ class QueryEngine {
   /// post-deletion snapshot is never published).
   Status ApplyUpdates(const std::vector<EdgeUpdate>& batch);
 
-  /// Streaming (non-stop-the-world) update entry point, called by the
-  /// StreamApplier once per drained micro-batch: identical two-phase apply
-  /// to ApplyUpdates — micro-batches keep the exclusive section short, so
-  /// Submit/Query never stall behind a bulk ingest — plus the published
-  /// snapshot is stamped as applied-through `through_ts` (monotone; see
-  /// QueryResponse::applied_through_ts). The batch must already be
-  /// coalesced to at most one op per edge (UpdateStream::Coalesce) for the
-  /// engine's batch set-semantics to coincide with stream order. Commits
-  /// as stream slice 0 — the single-applier form of ApplyStreamBatchSlice.
-  Status ApplyStreamBatch(const std::vector<EdgeUpdate>& batch,
-                          uint64_t through_ts);
-
-  /// Slice-aware streaming commit, called by each applier of an
-  /// ApplierPool: identical apply path, but the watermark bookkeeping is
-  /// per-slice — `slice`'s clock advances to `through_ts` (monotone; slice
-  /// commits serialize at the chain head), and the *global*
-  /// applied_through_ts derives from the minimum over all slice clocks, so
-  /// a lagging applier can never publish a hole: the watermark waits at
+  /// Streaming (non-stop-the-world) commit, called by each applier of an
+  /// ApplierPool once per drained micro-batch: identical two-phase apply to
+  /// ApplyUpdates — micro-batches keep the exclusive section short, so
+  /// Submit/Query never stall behind a bulk ingest. The batch must already
+  /// be coalesced to at most one op per edge (UpdateStream::Coalesce) for
+  /// the engine's batch set-semantics to coincide with stream order. The
+  /// watermark bookkeeping is per-slice: `slice`'s clock advances to
+  /// `through_ts` (monotone; slice commits serialize at the chain head),
+  /// and the *global* applied_through_ts (QueryResponse::
+  /// applied_through_ts) derives from the minimum over all slice clocks,
+  /// so a lagging applier can never publish a hole: the watermark waits at
   /// its oldest unapplied op.
   Status ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
                                uint64_t through_ts, size_t slice);
@@ -462,7 +455,7 @@ class QueryEngine {
   QueryResponse ExecuteAsOf(const Pattern& q, const QueryOptions& qopts,
                             double queue_wait_ms);
 
-  /// Shared body of ApplyUpdates / ApplyStreamBatch(Slice); `through_ts !=
+  /// Shared body of ApplyUpdates / ApplyStreamBatchSlice; `through_ts !=
   /// 0` advances `slice`'s clock and re-derives the min watermark with the
   /// published snapshot; every commit appends a SnapshotCut to the chain.
   Status ApplyUpdatesInternal(const std::vector<EdgeUpdate>& batch,

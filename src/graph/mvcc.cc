@@ -8,24 +8,6 @@ namespace gpmv {
 // ---------------------------------------------------------------------------
 // VersionVector
 
-bool VersionVector::CoveredBy(const VersionVector& other) const {
-  if (w_.size() != other.w_.size()) return false;
-  for (size_t i = 0; i < w_.size(); ++i) {
-    if (w_[i] > other.w_[i]) return false;
-  }
-  return true;
-}
-
-VersionVector VersionVector::Merge(const VersionVector& a,
-                                   const VersionVector& b) {
-  GPMV_DCHECK(a.num_slices() == b.num_slices());
-  VersionVector out(a.num_slices());
-  for (size_t i = 0; i < a.num_slices(); ++i) {
-    out.w_[i] = std::max(a.w_[i], b.w_[i]);
-  }
-  return out;
-}
-
 uint64_t VersionVector::MinSlice() const {
   if (w_.empty()) return 0;
   return *std::min_element(w_.begin(), w_.end());

@@ -9,9 +9,10 @@
 /// file generalizes that slot into a *chain* of immutable `SnapshotCut`s:
 ///
 ///  * A `VersionVector` records, per stream slice, the highest update
-///    timestamp that slice has applied. Cut arithmetic (componentwise
-///    `CoveredBy`, `Merge`, `MinSlice`/`MaxSlice`) is what makes "a
-///    consistent cut" a first-class value instead of a single counter.
+///    timestamp that slice has applied. Its `MinSlice`/`MaxSlice` give a
+///    cut's contiguous watermark and newest applied op, which is what
+///    makes "a consistent cut" a first-class value instead of a single
+///    counter.
 ///  * A `SnapshotCut` is one committed point: the frozen graph, its engine
 ///    version, the slice vector at commit time, and the min-derived
 ///    `watermark`. A cut is *prefix-consistent* when `watermark ==
@@ -65,15 +66,6 @@ class VersionVector {
   bool empty() const { return w_.empty(); }
   uint64_t slice(size_t i) const { return w_[i]; }
   void set_slice(size_t i, uint64_t ts) { w_[i] = ts; }
-
-  /// True iff every component of *this is <= the matching component of
-  /// `other` — this cut is visible within (covered by) `other`. Vectors of
-  /// different width never cover each other (the slice topology changed).
-  bool CoveredBy(const VersionVector& other) const;
-
-  /// Componentwise maximum (least upper bound of two cuts). Widths must
-  /// match; DCHECKed.
-  static VersionVector Merge(const VersionVector& a, const VersionVector& b);
 
   /// Minimum component — the contiguous watermark this cut supports: every
   /// op with ts <= MinSlice() has been applied by its slice. 0 for the

@@ -1,5 +1,6 @@
 #include "stream/applier_pool.h"
 
+#include <string>
 #include <utility>
 
 namespace gpmv {
@@ -44,20 +45,16 @@ ApplierPool::ApplierPool(QueryEngine* engine, ApplierPoolOptions opts)
     streams_.push_back(std::make_unique<UpdateStream>(opts_.stream));
   }
   for (size_t i = 0; i < k; ++i) {
-    StreamApplierOptions ao = opts_.applier;
-    ao.slice = i;
-    ao.use_slice_commit = true;
-    ao.on_batch_handled = [this] { RefreshWatermark(); };
-    appliers_.push_back(
-        std::make_unique<StreamApplier>(engine_, streams_[i].get(), ao));
+    appliers_.push_back(std::make_unique<StreamApplier>(
+        engine_, streams_[i].get(), i, opts_.applier,
+        [this] { RefreshWatermark(); }));
   }
 }
 
 ApplierPool::~ApplierPool() { (void)Stop(); }
 
-uint64_t ApplierPool::Push(EdgeUpdate op) {
-  const size_t k = streams_.size();
-  const size_t slice = SliceOf(op.u, op.v, k);
+PushError ApplierPool::Route(EdgeUpdate op, size_t slice, double wait_ms,
+                             uint64_t* ts_out) {
   // The slice's routing mutex covers ticket assignment *through* enqueue,
   // so two producers racing ops onto one slice cannot enqueue out of
   // ticket order (each slice stream must see a strictly increasing ts
@@ -66,33 +63,51 @@ uint64_t ApplierPool::Push(EdgeUpdate op) {
   // RefreshWatermark can always acquire it: backpressure on a full slice
   // queue must never wedge the consumer whose drain relieves it.
   std::lock_guard<std::mutex> slk(route_mu_[slice]);
+  // A no-wait push probes for space before the ticket grab. route_mu_
+  // serializes this slice's producers and the consumer only shrinks the
+  // queue, so "space now" still holds at the enqueue below, and a full
+  // queue burns no ticket: the caller parks the op and retries it later
+  // without marching the global ticket source (and with it every
+  // watermark target) forward on each attempt.
+  if (wait_ms <= 0.0 &&
+      streams_[slice]->depth() >= streams_[slice]->capacity()) {
+    return PushError::kWouldBlock;
+  }
   uint64_t ts, prev_tail;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) return 0;
+    if (stopped_) return PushError::kClosed;
     ts = next_ts_++;
     prev_tail = last_routed_[slice];
     last_routed_[slice] = ts;
     ++routed_count_[slice];
   }
-  if (streams_[slice]->PushWithTs(op, ts) == 0) {
-    // Closed underneath (Stop raced): the op was never accepted, so
-    // un-route it — we still hold the slice mutex, so nobody else has
-    // touched this slice's tail. The global ticket is burned (next_ts_
-    // may have moved on), which is fine post-Stop: a gap can only make
-    // the watermark conservative, never let it cover a dropped op.
+  PushError err = PushError::kNone;
+  if (streams_[slice]->PushWithTs(op, ts, wait_ms, &err) == 0) {
+    // Not accepted (Stop raced, or the deadline passed): un-route — we
+    // still hold the slice mutex, so nobody else has touched this slice's
+    // tail. The global ticket is burned (next_ts_ may have moved on),
+    // which only makes the watermark conservative: a gap can never let it
+    // cover an op that was not applied.
     std::lock_guard<std::mutex> lk(mu_);
     last_routed_[slice] = prev_tail;
     --routed_count_[slice];
-    return 0;
+    return err;
   }
+  *ts_out = ts;
+  return PushError::kNone;
+}
+
+uint64_t ApplierPool::Push(EdgeUpdate op) {
+  uint64_t ts = 0;
+  (void)Route(op, SliceOf(op.u, op.v, streams_.size()),
+              UpdateStream::kWaitForever, &ts);
   return ts;
 }
 
 Status ApplierPool::PushWithDeadline(EdgeUpdate op, double timeout_ms,
                                      uint64_t* ts_out) {
-  const size_t k = streams_.size();
-  const size_t slice = SliceOf(op.u, op.v, k);
+  const size_t slice = SliceOf(op.u, op.v, streams_.size());
   // Quarantine fast path, checked before any ticket is assigned: the
   // slice's consumer is parked, so a full queue can only time out — tell
   // the producer *why* (retryable after ReviveSlice) instead of burning
@@ -102,76 +117,41 @@ Status ApplierPool::PushWithDeadline(EdgeUpdate op, double timeout_ms,
     return Status::ResourceExhausted("stream slice " + std::to_string(slice) +
                                      " quarantined");
   }
-  std::lock_guard<std::mutex> slk(route_mu_[slice]);
-  uint64_t ts, prev_tail;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) {
+  uint64_t ts = 0;
+  switch (Route(op, slice, timeout_ms, &ts)) {
+    case PushError::kNone:
+      if (ts_out != nullptr) *ts_out = ts;
+      return Status::OK();
+    case PushError::kTimeout:
+    case PushError::kWouldBlock:  // a non-positive deadline on a full queue
+      return Status::DeadlineExceeded("stream slice " + std::to_string(slice) +
+                                      " push timed out (backpressure)");
+    case PushError::kStaleTicket:
+      // Unreachable while route_mu_ serializes this slice's producers;
+      // report it honestly if that invariant ever breaks.
+      return Status::Internal("stream slice " + std::to_string(slice) +
+                              " rejected a stale ticket");
+    default:
       return Status::Internal("applier pool stopped");
-    }
-    ts = next_ts_++;
-    prev_tail = last_routed_[slice];
-    last_routed_[slice] = ts;
-    ++routed_count_[slice];
   }
-  bool timed_out = false;
-  PushError err = PushError::kNone;
-  if (streams_[slice]->PushWithTs(op, ts, timeout_ms, &timed_out, &err) == 0) {
-    // Not accepted: un-route exactly like the blocking path — the burned
-    // ticket keeps the watermark conservative.
-    std::lock_guard<std::mutex> lk(mu_);
-    last_routed_[slice] = prev_tail;
-    --routed_count_[slice];
-    switch (err) {
-      case PushError::kTimeout:
-        return Status::DeadlineExceeded("stream slice " +
-                                        std::to_string(slice) +
-                                        " push timed out (backpressure)");
-      case PushError::kStaleTicket:
-        // Unreachable while route_mu_ serializes this slice's producers;
-        // report it honestly if that invariant ever breaks.
-        return Status::Internal("stream slice " + std::to_string(slice) +
-                                " rejected a stale ticket");
-      default:
-        return Status::Internal("applier pool stopped");
-    }
-  }
-  if (ts_out != nullptr) *ts_out = ts;
-  return Status::OK();
 }
 
 ApplierPool::TryPushResult ApplierPool::TryPush(EdgeUpdate op,
                                                 uint64_t* ts_out) {
-  const size_t k = streams_.size();
-  const size_t slice = SliceOf(op.u, op.v, k);
+  const size_t slice = SliceOf(op.u, op.v, streams_.size());
   // Quarantine fast path, like PushWithDeadline: the consumer is parked,
   // so admitting into (or even probing) its queue is pointless.
   if (appliers_[slice]->quarantined()) return TryPushResult::kQuarantined;
-  std::lock_guard<std::mutex> slk(route_mu_[slice]);
-  // Depth probe before the ticket grab. route_mu_ serializes this slice's
-  // producers and the consumer only shrinks the queue, so "space now"
-  // still holds at the enqueue below — TryPushWithTs cannot would-block.
-  if (streams_[slice]->depth() >= streams_[slice]->capacity()) {
-    return TryPushResult::kWouldBlock;
+  uint64_t ts = 0;
+  switch (Route(op, slice, UpdateStream::kNoWait, &ts)) {
+    case PushError::kNone:
+      if (ts_out != nullptr) *ts_out = ts;
+      return TryPushResult::kOk;
+    case PushError::kWouldBlock:
+      return TryPushResult::kWouldBlock;
+    default:
+      return TryPushResult::kStopped;
   }
-  uint64_t ts, prev_tail;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopped_) return TryPushResult::kStopped;
-    ts = next_ts_++;
-    prev_tail = last_routed_[slice];
-    last_routed_[slice] = ts;
-    ++routed_count_[slice];
-  }
-  if (streams_[slice]->TryPushWithTs(op, ts) == 0) {
-    // Closed underneath (Stop raced): un-route like Push.
-    std::lock_guard<std::mutex> lk(mu_);
-    last_routed_[slice] = prev_tail;
-    --routed_count_[slice];
-    return TryPushResult::kStopped;
-  }
-  if (ts_out != nullptr) *ts_out = ts;
-  return TryPushResult::kOk;
 }
 
 void ApplierPool::RefreshWatermark() {

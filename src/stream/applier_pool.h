@@ -1,7 +1,7 @@
 /// \file applier_pool.h
-/// \brief N concurrent stream appliers over disjoint slice sets: the
-/// multi-applier front half of the MVCC snapshot chain (graph/mvcc.h,
-/// QueryEngine::ApplyStreamBatchSlice).
+/// \brief K >= 1 concurrent stream appliers over disjoint slice sets: the
+/// only way streamed ops enter the engine, and the front half of the MVCC
+/// snapshot chain (graph/mvcc.h, QueryEngine::ApplyStreamBatchSlice).
 ///
 /// Topology: one pool owns K = `num_appliers` (UpdateStream, StreamApplier)
 /// pairs — slice i's applier drains slice i's stream and commits through
@@ -13,7 +13,7 @@
 /// promises per-edge order). Appliers drain, coalesce and validate
 /// concurrently; their commits serialize only at the engine's chain head.
 ///
-/// Timestamps: one *global* ticket source spans all K streams — Push grabs
+/// Timestamps: one *global* ticket source spans all K streams — a push grabs
 /// a ticket under the pool mutex, then enqueues under a *per-slice* routing
 /// mutex, so each slice stream sees a strictly increasing subsequence. The
 /// pool mutex is never held across the (blocking, backpressured) enqueue:
@@ -50,7 +50,7 @@
 /// global ts — the watermark reintegrates without holes because nothing
 /// was ever skipped.
 ///
-/// Quiesce/teardown mirror the single-applier contract: FlushAndWait
+/// Quiesce/teardown build on the per-applier contract: FlushAndWait
 /// flushes every applier then refreshes the watermark to the global ts;
 /// Stop closes all streams, joins all threads, returns the first sticky
 /// failure (a quarantined slice's retained ops are discarded by its
@@ -75,8 +75,7 @@ namespace gpmv {
 struct ApplierPoolOptions {
   /// Concurrent appliers / stream slices (clamped to >= 1).
   size_t num_appliers = 2;
-  /// Per-applier micro-batching knobs (slice / use_slice_commit /
-  /// on_batch_handled are overwritten by the pool).
+  /// Per-applier micro-batching and retry knobs, shared by all K appliers.
   StreamApplierOptions applier;
   /// Per-slice queue sizing.
   UpdateStreamOptions stream;
@@ -158,6 +157,14 @@ class ApplierPool {
   static size_t SliceOf(NodeId u, NodeId v, size_t k);
 
  private:
+  /// Shared body of Push / PushWithDeadline / TryPush: under the slice's
+  /// routing mutex, grabs the next global ticket and enqueues `op` on
+  /// `slice`, waiting at most `wait_ms` for space (UpdateStream::
+  /// PushWithTs); a kNoWait push probes for space before the ticket grab.
+  /// On failure the op is un-routed and the reason returned (kClosed once
+  /// stopped); on success `*ts` holds the assigned ticket.
+  PushError Route(EdgeUpdate op, size_t slice, double wait_ms, uint64_t* ts);
+
   /// Heartbeat pass (see file comment): advances the clock of every slice
   /// that has consumed everything ever routed to it.
   void RefreshWatermark();
@@ -166,7 +173,7 @@ class ApplierPool {
   ApplierPoolOptions opts_;
 
   mutable std::mutex mu_;  ///< routing: ticket source + per-slice tails
-  /// Per-slice enqueue sequencing (see Push): acquired *before* mu_ and
+  /// Per-slice enqueue sequencing (see Route): acquired *before* mu_ and
   /// held across the blocking enqueue, which mu_ never is. Lock order:
   /// route_mu_[s] -> mu_; RefreshWatermark takes only mu_.
   std::unique_ptr<std::mutex[]> route_mu_;

@@ -9,12 +9,15 @@
 namespace gpmv {
 
 StreamApplier::StreamApplier(QueryEngine* engine, UpdateStream* stream,
-                             StreamApplierOptions opts)
+                             size_t slice, StreamApplierOptions opts,
+                             std::function<void()> on_batch_handled)
     : engine_(engine),
       stream_(stream),
+      slice_(slice),
       opts_(opts),
-      jitter_rng_(opts.retry.jitter_seed ^ (opts.slice * 0x9e3779b97f4a7c15ULL +
-                                            opts.slice)) {
+      on_batch_handled_(std::move(on_batch_handled)),
+      jitter_rng_(opts.retry.jitter_seed ^
+                  (slice * 0x9e3779b97f4a7c15ULL + slice)) {
   if (opts_.max_batch == 0) opts_.max_batch = 1;
   if (opts_.retry.max_attempts == 0) opts_.retry.max_attempts = 1;
   queue_depth_gauge_ =
@@ -53,9 +56,7 @@ Status StreamApplier::ApplyWithRetry(const std::vector<EdgeUpdate>& batch,
       if (!BackoffWait(attempt - 1)) break;  // Stop requested mid-backoff
       ++*retries;
     }
-    st = opts_.use_slice_commit
-             ? engine_->ApplyStreamBatchSlice(batch, ts, opts_.slice)
-             : engine_->ApplyStreamBatch(batch, ts);
+    st = engine_->ApplyStreamBatchSlice(batch, ts, slice_);
     if (st.ok()) return st;
     ++*failed_attempts;
     // Validation failures (unknown node) are deterministic: the batch can
@@ -116,11 +117,11 @@ void StreamApplier::ApplierLoop() {
         redo_depth = redo_.size();
         quarantined_ = true;
         status_ = Status::ResourceExhausted(
-            "stream slice " + std::to_string(opts_.slice) +
+            "stream slice " + std::to_string(slice_) +
             " quarantined: " + st.ToString());
       }
       redo_depth_gauge_->Set(static_cast<double>(redo_depth));
-      engine_->SetSliceQuarantined(opts_.slice, true);
+      engine_->SetSliceQuarantined(slice_, true);
     }
     engine_->MergeStreamStats(delta);
     // Live depth, not a high-water mark: exporter snapshots between drains
@@ -128,7 +129,7 @@ void StreamApplier::ApplierLoop() {
     queue_depth_gauge_->Set(static_cast<double>(d.depth_after));
 
     consumed_cv_.notify_all();
-    if (opts_.on_batch_handled) opts_.on_batch_handled();
+    if (on_batch_handled_) on_batch_handled_();
 
     if (st.ok() && opts_.max_lag_ms > 0.0) {
       // AIMD-flavored cap steering: a slow apply halves the next drain so
@@ -186,13 +187,13 @@ void StreamApplier::DiscardRemainder() {
   // The quarantine is resolved (by dropping); balance the engine's
   // quarantined-slice count so a torn-down slice stops flagging queries
   // as degraded. The sticky status stays kResourceExhausted for Stop().
-  if (was_quarantined) engine_->SetSliceQuarantined(opts_.slice, false);
+  if (was_quarantined) engine_->SetSliceQuarantined(slice_, false);
   redo_depth_gauge_->Set(0.0);
   consumed_cv_.notify_all();
 }
 
 Status StreamApplier::FlushAndWait() {
-  const uint64_t target = stream_->last_assigned_ts();
+  const uint64_t target = stream_->last_accepted_ts();
   Status out;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -255,7 +256,7 @@ Status StreamApplier::Revive() {
       // parked), so the swap-back preserves FIFO replay order.
       redo_.swap(redo);
       status_ = Status::ResourceExhausted(
-          "stream slice " + std::to_string(opts_.slice) +
+          "stream slice " + std::to_string(slice_) +
           " quarantined: " + st.ToString());
     }
     healthy = !quarantined_;
@@ -264,7 +265,7 @@ Status StreamApplier::Revive() {
     reviving_ = false;
   }
   redo_depth_gauge_->Set(static_cast<double>(redo_depth));
-  if (healthy) engine_->SetSliceQuarantined(opts_.slice, false);
+  if (healthy) engine_->SetSliceQuarantined(slice_, false);
   engine_->MergeStreamStats(delta);
   state_cv_.notify_all();
   consumed_cv_.notify_all();
@@ -296,11 +297,6 @@ Status StreamApplier::status() const {
 bool StreamApplier::quarantined() const {
   std::lock_guard<std::mutex> lk(mu_);
   return quarantined_;
-}
-
-size_t StreamApplier::redo_depth() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return redo_.size();
 }
 
 uint64_t StreamApplier::consumed_through_ts() const {

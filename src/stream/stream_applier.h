@@ -1,11 +1,13 @@
 /// \file stream_applier.h
-/// \brief The background drain half of the streaming-update subsystem: one
-/// applier thread pulls timestamped edge ops off an UpdateStream, coalesces
-/// them into adaptive micro-batches, and pushes each through the engine's
-/// two-phase maintenance path (QueryEngine::ApplyStreamBatch — deletions,
-/// then insert deltas), so snapshots publish continuously while Submit and
-/// Query keep running. Queries never wait on ingestion: the only exclusive
-/// section is the per-micro-batch apply.
+/// \brief The background drain half of one stream slice: an applier thread
+/// pulls timestamped edge ops off its slice's UpdateStream, coalesces them
+/// into adaptive micro-batches, and commits each through the engine's
+/// two-phase maintenance path (QueryEngine::ApplyStreamBatchSlice —
+/// deletions, then insert deltas), so snapshots publish continuously while
+/// Submit and Query keep running. Queries never wait on ingestion: the only
+/// exclusive section is the per-micro-batch apply. ApplierPool (stream/
+/// applier_pool.h) owns every applier, one per slice, and is the only way
+/// ops enter the stream.
 ///
 /// Adaptive micro-batching: the applier drains whatever is queued, up to a
 /// moving cap. While an apply is in flight the queue accumulates, so batch
@@ -42,10 +44,11 @@
 ///
 /// Quiesce: FlushAndWait() blocks until every op enqueued before the call
 /// has been applied and published, or the applier quarantined (returning
-/// the quarantine status) — the equivalence suites call it to compare
-/// streamed state against batch oracles deterministically. Stop() closes
-/// the stream, drains the remainder, joins the thread, and returns the
-/// final status; the destructor does the same (discarding the status).
+/// the quarantine status) — ApplierPool::FlushAndWait quiesces through it,
+/// which is what lets the equivalence suites compare streamed state against
+/// batch oracles deterministically. Stop() closes the stream, drains the
+/// remainder, joins the thread, and returns the final status; the
+/// destructor does the same (discarding the status).
 
 #ifndef GPMV_STREAM_STREAM_APPLIER_H_
 #define GPMV_STREAM_STREAM_APPLIER_H_
@@ -91,25 +94,20 @@ struct StreamApplierOptions {
   double max_lag_ms = 20.0;
   /// Failed-apply retry policy (see file comment).
   StreamRetryOptions retry;
-  /// Stream slice this applier commits (ApplierPool mode): batches go
-  /// through QueryEngine::ApplyStreamBatchSlice(batch, ts, slice), so the
-  /// engine's watermark derives from the min over all slices rather than
-  /// this applier's own through_ts. Requires ConfigureStreamSlices.
-  size_t slice = 0;
-  bool use_slice_commit = false;
-  /// Invoked after every handled micro-batch (applied or quarantined),
-  /// from the applier thread, outside any applier lock — the ApplierPool
-  /// hooks its watermark refresh (idle-slice heartbeats) here.
-  std::function<void()> on_batch_handled;
 };
 
 /// See file comment.
 class StreamApplier {
  public:
-  /// Starts the applier thread immediately. `engine` and `stream` must
-  /// outlive this object (or its Stop()).
-  StreamApplier(QueryEngine* engine, UpdateStream* stream,
-                StreamApplierOptions opts = {});
+  /// Starts the applier thread immediately. Batches commit as stream slice
+  /// `slice` (QueryEngine::ApplyStreamBatchSlice; the engine's slice
+  /// topology must already cover it). `on_batch_handled` runs after every
+  /// handled micro-batch (applied or quarantined), on the applier thread,
+  /// outside any applier lock — the pool's watermark refresh. `engine` and
+  /// `stream` must outlive this object (or its Stop()).
+  StreamApplier(QueryEngine* engine, UpdateStream* stream, size_t slice,
+                StreamApplierOptions opts,
+                std::function<void()> on_batch_handled);
   ~StreamApplier();
 
   StreamApplier(const StreamApplier&) = delete;
@@ -144,9 +142,6 @@ class StreamApplier {
   /// applier is parked. Non-blocking.
   bool quarantined() const;
 
-  /// Retained redo-log depth (batches, not ops). Non-blocking.
-  size_t redo_depth() const;
-
   /// Timestamp through which ops have been consumed (applied, or
   /// discarded by a quarantined Stop). Does not advance past a retained
   /// (quarantined) batch. Non-blocking.
@@ -176,7 +171,9 @@ class StreamApplier {
 
   QueryEngine* engine_;
   UpdateStream* stream_;
+  const size_t slice_;
   StreamApplierOptions opts_;
+  const std::function<void()> on_batch_handled_;
   /// Live gauges (stream.queue_depth / stream.redo_depth), resolved once
   /// from the engine's registry.
   obs::Gauge* queue_depth_gauge_ = nullptr;

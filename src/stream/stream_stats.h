@@ -1,7 +1,7 @@
 /// \file stream_stats.h
 /// \brief Observability counters for the streaming-update subsystem
-/// (stream/update_stream.h + stream/stream_applier.h), aggregated into
-/// `EngineStats::stream` by the engine.
+/// (stream/applier_pool.h and the per-slice queues and appliers it owns),
+/// aggregated into `EngineStats::stream` by the engine.
 ///
 /// This header is deliberately dependency-free (engine/query_engine.h
 /// includes it to embed the struct in EngineStats, and the stream layer
@@ -38,12 +38,13 @@ constexpr size_t kStreamBatchBuckets = 12;
 /// whose op is reflected in a published snapshot.
 struct StreamStats {
   size_t ops_ingested = 0;   ///< ops the applier popped off the queue
-  size_t ops_applied = 0;    ///< ops forwarded to ApplyStreamBatch (post-coalesce)
+  size_t ops_applied = 0;  ///< ops committed through ApplyStreamBatchSlice
+                           ///< (post-coalesce)
   size_t ops_coalesced = 0;  ///< ops eliminated by per-edge last-op-wins
   size_t ops_dropped = 0;  ///< ops discarded by Stop() on a quarantined
                            ///< slice (quarantine itself retains, never drops)
   size_t batches_applied = 0;   ///< micro-batches pushed through the engine
-  size_t apply_failures = 0;    ///< ApplyStreamBatch calls that failed
+  size_t apply_failures = 0;    ///< ApplyStreamBatchSlice calls that failed
   size_t retries = 0;      ///< failed-batch re-apply attempts (post-backoff)
   size_t quarantines = 0;  ///< slices that exhausted retries (redo retained)
   size_t revives = 0;      ///< successful ReviveSlice redo replays

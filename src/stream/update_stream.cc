@@ -1,5 +1,6 @@
 #include "stream/update_stream.h"
 
+#include <cmath>
 #include <unordered_map>
 #include <utility>
 
@@ -9,154 +10,35 @@ UpdateStream::UpdateStream(UpdateStreamOptions opts) : opts_(opts) {
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
 }
 
-uint64_t UpdateStream::Push(EdgeUpdate op) {
-  std::unique_lock<std::mutex> lk(mu_);
-  not_full_.wait(lk, [this] {
-    return closed_ || queue_.size() < opts_.queue_capacity;
-  });
-  if (closed_) return 0;
-  const uint64_t ts = next_ts_++;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::Push(EdgeUpdate op, double timeout_ms,
-                            bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool ok = not_full_.wait_for(
-      lk, std::chrono::duration<double, std::milli>(timeout_ms),
-      [this] { return closed_ || queue_.size() < opts_.queue_capacity; });
-  if (!ok) {
-    if (timed_out != nullptr) *timed_out = true;
-    return 0;
-  }
-  if (closed_) return 0;
-  const uint64_t ts = next_ts_++;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::PushWithTs(EdgeUpdate op, uint64_t ts,
+uint64_t UpdateStream::PushWithTs(EdgeUpdate op, uint64_t ts, double wait_ms,
                                   PushError* err) {
-  if (err != nullptr) *err = PushError::kNone;
+  auto fail = [err](PushError why) {
+    if (err != nullptr) *err = why;
+    return uint64_t{0};
+  };
   std::unique_lock<std::mutex> lk(mu_);
-  // Validate the ticket before waiting for space: a stale ticket will be
-  // rejected no matter how long we wait, so parking the producer on a full
-  // queue first would stall it (potentially unboundedly, behind a
-  // quarantined consumer) only to refuse the op anyway.
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  not_full_.wait(lk, [this] {
-    return closed_ || queue_.size() < opts_.queue_capacity;
-  });
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    // Another producer slipped a higher ticket in while we waited — only
-    // possible for callers that don't serialize per-stream, but report it
-    // faithfully rather than folding it into kClosed.
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  next_ts_ = ts + 1;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::PushWithTs(EdgeUpdate op, uint64_t ts,
-                                  double timeout_ms, bool* timed_out,
-                                  PushError* err) {
-  if (timed_out != nullptr) *timed_out = false;
-  if (err != nullptr) *err = PushError::kNone;
-  std::unique_lock<std::mutex> lk(mu_);
-  // Stale-ticket / closed fast paths before burning any of the deadline
-  // (see the blocking overload).
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  const bool ok = not_full_.wait_for(
-      lk, std::chrono::duration<double, std::milli>(timeout_ms),
-      [this] { return closed_ || queue_.size() < opts_.queue_capacity; });
-  if (!ok) {
-    if (timed_out != nullptr) *timed_out = true;
-    if (err != nullptr) *err = PushError::kTimeout;
-    return 0;
-  }
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  next_ts_ = ts + 1;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::TryPush(EdgeUpdate op, bool* full) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (full != nullptr) *full = false;
-  if (closed_) return 0;
+  // Closed and stale are checked before and again after the wait: either
+  // can change while the producer waits (a raced Close, or a producer that
+  // does not serialize per stream slipping a higher ticket in).
+  auto refused = [this, ts] {
+    if (closed_) return PushError::kClosed;
+    if (ts < next_ts_) return PushError::kStaleTicket;
+    return PushError::kNone;
+  };
+  if (PushError why = refused(); why != PushError::kNone) return fail(why);
   if (queue_.size() >= opts_.queue_capacity) {
-    if (full != nullptr) *full = true;
-    return 0;
-  }
-  const uint64_t ts = next_ts_++;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::TryPushWithTs(EdgeUpdate op, uint64_t ts,
-                                     PushError* err) {
-  if (err != nullptr) *err = PushError::kNone;
-  std::unique_lock<std::mutex> lk(mu_);
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  if (queue_.size() >= opts_.queue_capacity) {
-    if (err != nullptr) *err = PushError::kWouldBlock;
-    return 0;
+    if (wait_ms <= 0.0) return fail(PushError::kWouldBlock);
+    auto has_space = [this] {
+      return closed_ || queue_.size() < opts_.queue_capacity;
+    };
+    if (std::isinf(wait_ms)) {
+      not_full_.wait(lk, has_space);
+    } else if (!not_full_.wait_for(
+                   lk, std::chrono::duration<double, std::milli>(wait_ms),
+                   has_space)) {
+      return fail(PushError::kTimeout);
+    }
+    if (PushError why = refused(); why != PushError::kNone) return fail(why);
   }
   next_ts_ = ts + 1;
   queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
@@ -164,6 +46,7 @@ uint64_t UpdateStream::TryPushWithTs(EdgeUpdate op, uint64_t ts,
   max_depth_ = std::max(max_depth_, queue_.size());
   lk.unlock();
   not_empty_.notify_one();
+  if (err != nullptr) *err = PushError::kNone;
   return ts;
 }
 
@@ -173,15 +56,10 @@ void UpdateStream::Close() {
     if (closed_) return;
     closed_ = true;
   }
-  // Blocked producers fail their Push; a blocked consumer wakes to drain
+  // Blocked producers fail their push; a blocked consumer wakes to drain
   // the remainder (and to observe closed-and-empty).
   not_full_.notify_all();
   not_empty_.notify_all();
-}
-
-bool UpdateStream::closed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return closed_;
 }
 
 bool UpdateStream::Drain(size_t max_ops, StreamDrainResult* out) {
@@ -215,7 +93,7 @@ bool UpdateStream::Drain(size_t max_ops, StreamDrainResult* out) {
   return true;
 }
 
-uint64_t UpdateStream::last_assigned_ts() const {
+uint64_t UpdateStream::last_accepted_ts() const {
   std::lock_guard<std::mutex> lk(mu_);
   return next_ts_ - 1;
 }

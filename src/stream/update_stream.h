@@ -21,15 +21,18 @@
 /// would resurrect a deleted edge. tests/stream_equivalence_test.cc pins
 /// both formulations.
 ///
-/// Timestamps are dense 1-based sequence numbers assigned under the queue
-/// mutex at Push; they double as the bounded-staleness watermark
-/// ("applied-through") that the applier stamps onto published snapshots.
+/// Timestamps are tickets handed out by the ApplierPool (stream/
+/// applier_pool.h), the only producer: one global source spans every slice
+/// stream, and each stream accepts only strictly increasing tickets. They
+/// double as the bounded-staleness watermark ("applied-through") that the
+/// appliers stamp onto published snapshots.
 ///
-/// Concurrency: any number of producer threads may Push concurrently
-/// (blocking while the queue is at capacity — backpressure, like the
-/// executor's bounded task queue); exactly one consumer drains. Close()
-/// makes further Push calls fail and lets the consumer drain the remainder;
-/// Drain returns false only once the stream is closed *and* empty.
+/// Concurrency: producers enqueue through PushWithTs, waiting for space up
+/// to a caller-chosen bound while the queue is at capacity (backpressure,
+/// like the executor's bounded task queue); exactly one consumer drains.
+/// Close() makes further pushes fail and lets the consumer drain the
+/// remainder; Drain returns false only once the stream is closed *and*
+/// empty.
 
 #ifndef GPMV_STREAM_UPDATE_STREAM_H_
 #define GPMV_STREAM_UPDATE_STREAM_H_
@@ -39,6 +42,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -49,25 +53,18 @@ namespace gpmv {
 
 /// Queue sizing knobs.
 struct UpdateStreamOptions {
-  /// Maximum enqueued (not yet drained) ops before Push blocks.
+  /// Maximum enqueued (not yet drained) ops before PushWithTs waits.
   size_t queue_capacity = 4096;
 };
 
-/// One accepted edge op with its assigned stream timestamp.
-struct TimestampedUpdate {
-  EdgeUpdate op;
-  uint64_t ts = 0;
-};
-
-/// Why a Push/PushWithTs/TryPush returned 0. The blocking overloads can
-/// only report kClosed/kStaleTicket; the deadline overloads add kTimeout;
-/// the Try overloads add kWouldBlock.
+/// Why a PushWithTs returned 0. A blocking push can only report kClosed or
+/// kStaleTicket; a deadline adds kTimeout, a kNoWait push kWouldBlock.
 enum class PushError {
   kNone = 0,      ///< accepted
   kClosed,        ///< stream was closed
-  kStaleTicket,   ///< PushWithTs ts not above every ts this stream has seen
+  kStaleTicket,   ///< ts not above every ticket this stream has accepted
   kTimeout,       ///< deadline elapsed while the queue stayed full
-  kWouldBlock,    ///< TryPush with the queue at capacity
+  kWouldBlock,    ///< kNoWait push with the queue at capacity
 };
 
 /// Result of one Drain call; `batch` is already coalesced (at most one op
@@ -88,54 +85,33 @@ class UpdateStream {
   UpdateStream(const UpdateStream&) = delete;
   UpdateStream& operator=(const UpdateStream&) = delete;
 
-  /// Enqueues `op`, blocking while the queue is at capacity. Returns the
-  /// assigned (1-based, strictly increasing) timestamp, or 0 if the stream
-  /// was closed.
-  uint64_t Push(EdgeUpdate op);
+  /// `wait_ms` for PushWithTs: block until space frees up.
+  static constexpr double kWaitForever =
+      std::numeric_limits<double>::infinity();
+  /// `wait_ms` for PushWithTs: never wait; a full queue is kWouldBlock.
+  static constexpr double kNoWait = 0.0;
 
-  /// Deadline-bounded Push: waits at most `timeout_ms` for queue space.
-  /// Returns 0 on close *or* timeout; `*timed_out` (when non-null)
-  /// distinguishes the two. The escape hatch for producers backpressured
-  /// by a consumer that stopped draining (a quarantined slice applier) —
-  /// they surface kDeadlineExceeded instead of blocking forever.
-  uint64_t Push(EdgeUpdate op, double timeout_ms, bool* timed_out);
+  /// Enqueues `op` under its externally assigned ticket `ts` (the
+  /// ApplierPool's global ticket source spans K per-slice streams, so each
+  /// stream sees a strictly increasing subsequence of it). `ts` must exceed
+  /// every ticket this stream has accepted. Waits at most `wait_ms` for
+  /// queue space: kWaitForever blocks (backpressure), kNoWait fails a full
+  /// queue at once with kWouldBlock (the net server's admission path, which
+  /// must not block its event loop), and anything in between is a deadline
+  /// that fails with kTimeout (the escape hatch for producers behind a
+  /// consumer that stopped draining). Returns `ts` on success, else 0 with
+  /// `*err` (when non-null) naming the reason. A closed stream or a stale
+  /// ticket is refused *before* any wait: a stale ticket is rejected no
+  /// matter how long we wait, so parking the producer first would only
+  /// stall it behind a full queue to refuse the op anyway.
+  uint64_t PushWithTs(EdgeUpdate op, uint64_t ts,
+                      double wait_ms = kWaitForever,
+                      PushError* err = nullptr);
 
-  /// Enqueues `op` with an *externally assigned* timestamp — the
-  /// ApplierPool's routing path, where one global ticket source spans K
-  /// per-slice streams and each stream sees a strictly increasing
-  /// subsequence of it. `ts` must exceed every timestamp this stream has
-  /// seen; returns `ts` on success and 0 when closed or out of order, with
-  /// `*err` (when non-null) naming the reason. Ticket order is validated
-  /// *before* waiting for queue space — a stale ticket is rejected
-  /// immediately rather than parking the producer on a full queue only to
-  /// be refused once space frees up. Blocks at capacity like Push.
-  uint64_t PushWithTs(EdgeUpdate op, uint64_t ts, PushError* err = nullptr);
-
-  /// Deadline-bounded PushWithTs (see the deadline-bounded Push): returns
-  /// 0 on close, out-of-order ts, or timeout. `*err` (when non-null)
-  /// distinguishes all three (kClosed / kStaleTicket / kTimeout);
-  /// `*timed_out` is kept for callers that only care about the timeout
-  /// bit. Like the blocking overload, a stale ticket fails fast without
-  /// consuming any of the deadline.
-  uint64_t PushWithTs(EdgeUpdate op, uint64_t ts, double timeout_ms,
-                      bool* timed_out, PushError* err = nullptr);
-
-  /// Non-blocking Push: fails (returns 0) when the queue is full or the
-  /// stream is closed; `*full` distinguishes the two when non-null.
-  uint64_t TryPush(EdgeUpdate op, bool* full = nullptr);
-
-  /// Non-blocking PushWithTs: never waits for queue space. Returns `ts`
-  /// on success, else 0 with `*err` set to kClosed, kStaleTicket, or
-  /// kWouldBlock. The net server's admission path — it parks the op
-  /// per-connection instead of blocking its event loop.
-  uint64_t TryPushWithTs(EdgeUpdate op, uint64_t ts,
-                         PushError* err = nullptr);
-
-  /// Stops accepting ops (Push returns 0 from now on) and wakes a blocked
-  /// Drain so the consumer can finish the remainder. Idempotent.
+  /// Stops accepting ops (PushWithTs fails with kClosed from now on) and
+  /// wakes a blocked Drain so the consumer can finish the remainder.
+  /// Idempotent.
   void Close();
-
-  bool closed() const;
 
   /// Consumer side (single-threaded): blocks until at least one op is
   /// queued or the stream is closed; pops up to `max_ops` ops, coalesces
@@ -143,9 +119,9 @@ class UpdateStream {
   /// an empty `out->batch` — only when the stream is closed and empty.
   bool Drain(size_t max_ops, StreamDrainResult* out);
 
-  /// Last timestamp assigned by Push (0 before the first op): the quiesce
-  /// watermark FlushAndWait targets.
-  uint64_t last_assigned_ts() const;
+  /// Highest ticket accepted so far (0 before the first op): the quiesce
+  /// watermark StreamApplier::FlushAndWait targets.
+  uint64_t last_accepted_ts() const;
 
   size_t depth() const;
 
@@ -175,7 +151,7 @@ class UpdateStream {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<Element> queue_;
-  uint64_t next_ts_ = 1;
+  uint64_t next_ts_ = 1;  ///< lowest ticket the stream still accepts
   size_t ops_accepted_ = 0;
   size_t max_depth_ = 0;
   bool closed_ = false;

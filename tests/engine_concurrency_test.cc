@@ -17,14 +17,13 @@
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/query_engine.h"
 #include "pattern/pattern_builder.h"
 #include "simulation/bounded.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
-#include "stream/update_stream.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
 #include "workload/pattern_gen.h"
@@ -253,145 +252,40 @@ TEST(EngineConcurrencyTest, QueriesRaceUpdateBatchesSafely) {
   }
 }
 
-TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
-  // Free-running stress with a pinned phase structure: two producers
-  // streaming UPD-edge toggles, two query threads asserting per-thread
-  // monotone snapshot versions and applied-through watermarks, one stats
-  // reader asserting cross-counter invariants on every snapshot it takes
-  // (the torn-read detector: stream deltas merge as one unit per batch).
+// Free-running stress with a pinned phase structure at `appliers` stream
+// slices: two producers stream UPD-edge toggles through the ApplierPool,
+// so at K > 1 commits from different slices race at the MVCC chain head
+// while queries pin cuts. Two query threads assert per-thread monotone
+// snapshot versions and applied-through watermarks, plus the
+// never-torn-cut invariant: a published watermark W is a promise that
+// *every* slice clock has passed W, so a slice version below an
+// earlier-read watermark would mean a torn (hole-y) cut was published. One
+// stats reader asserts cross-counter invariants on every snapshot it takes
+// (the torn-read detector: stream deltas merge as one unit per batch).
+void RunStreamingRacesQueries(size_t appliers,
+                              std::vector<uint64_t> default_seeds) {
   StressFixture f = MakeStressFixture();
   const NodeId n = static_cast<NodeId>(f.graph.num_nodes());
 
-  for (uint64_t seed : testutil::StressSeeds({5, 6})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
+  for (uint64_t seed : testutil::StressSeeds(std::move(default_seeds))) {
+    SCOPED_TRACE("appliers=" + std::to_string(appliers) +
+                 " seed=" + std::to_string(seed));
     EngineOptions opts;
     opts.pool.num_threads = 4;
     QueryEngine engine(f.graph, opts);
     RegisterCoveringViews(&engine, f);
 
-    UpdateStream stream;
-    StreamApplierOptions ao;
-    ao.max_batch = 16;
-    StreamApplier applier(&engine, &stream, ao);
-
-    constexpr size_t kProducers = 2;
-    constexpr size_t kOpsPerProducer = 61;  // odd toggle count: ends inserted
-    constexpr size_t kQueryThreads = 2;
-    // Start barrier: every racing thread (plus this one) enters the race
-    // window together instead of relying on spawn-order luck.
-    testutil::PhaseBarrier barrier(kProducers + kQueryThreads + 2);
-    std::atomic<bool> producers_done{false};
-    std::vector<std::thread> threads;
-
-    for (size_t p = 0; p < kProducers; ++p) {
-      threads.emplace_back([&, p] {
-        // Each producer owns one UPD edge, so the final graph is
-        // deterministic regardless of cross-producer interleaving.
-        const NodeId u = static_cast<NodeId>(n - 4 + 2 * p);
-        const NodeId v = static_cast<NodeId>(n - 4 + 2 * p + 1);
-        barrier.Arrive();
-        for (size_t i = 0; i < kOpsPerProducer; ++i) {
-          EXPECT_NE(stream.Push(i % 2 == 0 ? EdgeUpdate::Insert(u, v)
-                                           : EdgeUpdate::Delete(u, v)),
-                    0u);
-        }
-      });
-    }
-    for (size_t q = 0; q < kQueryThreads; ++q) {
-      threads.emplace_back([&, q] {
-        Rng rng(seed * 100 + q);
-        uint64_t last_version = 0;
-        uint64_t last_watermark = 0;
-        barrier.Arrive();
-        while (!producers_done.load(std::memory_order_acquire)) {
-          const size_t pid = rng.NextBounded(f.patterns.size());
-          QueryResponse resp = engine.Query(f.patterns[pid]);
-          EXPECT_TRUE(resp.status.ok()) << resp.status.ToString();
-          if (!resp.status.ok()) break;
-          resp.result.Normalize();
-          EXPECT_TRUE(resp.result == f.expected[pid])
-              << "query diverged while racing streamed ingestion";
-          // Published snapshots only ever move forward.
-          EXPECT_GE(resp.snapshot_version, last_version);
-          EXPECT_GE(resp.applied_through_ts, last_watermark);
-          last_version = resp.snapshot_version;
-          last_watermark = resp.applied_through_ts;
-        }
-      });
-    }
-    threads.emplace_back([&] {
-      barrier.Arrive();
-      while (!producers_done.load(std::memory_order_acquire)) {
-        EngineStats s = engine.stats();
-        // Per-batch deltas merge atomically: these invariants must hold in
-        // *every* observed snapshot, torn reads would break them.
-        EXPECT_EQ(s.stream.ops_ingested, s.stream.ops_applied +
-                                             s.stream.ops_coalesced +
-                                             s.stream.ops_dropped);
-        size_t hist = 0;
-        for (size_t b = 0; b < kStreamBatchBuckets; ++b) {
-          hist += s.stream.batch_size_hist[b];
-        }
-        EXPECT_EQ(hist, s.stream.batches_applied);
-        EXPECT_LE(s.stream.applied_through_ts,
-                  kProducers * kOpsPerProducer);
-        EXPECT_GE(s.pool.submitted, s.pool.executed);
-        std::this_thread::yield();
-      }
-    });
-
-    barrier.Arrive();  // everyone starts racing together
-    // Producers run to completion, then the stream quiesces before the
-    // racing readers stop (so they observe the tail of ingestion too).
-    for (size_t p = 0; p < kProducers; ++p) threads[p].join();
-    ASSERT_TRUE(applier.FlushAndWait().ok());
-    producers_done.store(true, std::memory_order_release);
-    for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
-
-    ASSERT_TRUE(applier.Stop().ok());
-    // Both producer edges end inserted (odd toggle counts): deterministic
-    // final graph, exact stream totals, watermark == total ops.
-    EXPECT_EQ(engine.num_graph_edges(), f.graph.num_edges() + 2);
-    EngineStats s = engine.stats();
-    EXPECT_EQ(s.stream.ops_ingested, kProducers * kOpsPerProducer);
-    EXPECT_EQ(s.stream.ops_dropped, 0u);
-    EXPECT_EQ(s.stream.applied_through_ts, kProducers * kOpsPerProducer);
-    EXPECT_EQ(engine.applied_through_ts(), kProducers * kOpsPerProducer);
-    CheckAccounting(s.cache);
-    EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
-  }
-}
-
-TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
-  // The StreamingIngestionRacesQueries structure ported to the applier
-  // pool: producers push through ApplierPool (3 appliers / stream slices),
-  // so commits from different slices race at the MVCC chain head while
-  // queries pin cuts. On top of the per-thread monotonicity checks, every
-  // reader asserts the never-torn-cut invariant: a published watermark W
-  // is a promise that *every* slice clock has passed W, so a slice version
-  // below an earlier-read watermark would mean a torn (hole-y) cut was
-  // published. The third slice typically receives no ops (both UPD edges
-  // may hash elsewhere), which is the point — the pool's heartbeats must
-  // still carry the watermark to the global total at quiesce.
-  StressFixture f = MakeStressFixture();
-  const NodeId n = static_cast<NodeId>(f.graph.num_nodes());
-
-  for (uint64_t seed : testutil::StressSeeds({7, 8})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    EngineOptions opts;
-    opts.pool.num_threads = 4;
-    QueryEngine engine(f.graph, opts);
-    RegisterCoveringViews(&engine, f);
-
-    constexpr size_t kAppliers = 3;
     ApplierPoolOptions po;
-    po.num_appliers = kAppliers;
+    po.num_appliers = appliers;
     po.applier.max_batch = 16;
     ApplierPool pool(&engine, po);
 
     constexpr size_t kProducers = 2;
-    constexpr size_t kOpsPerProducer = 61;  // odd toggle count: ends inserted
+    constexpr size_t kOpsPerProducer = 61;  // odd toggle count: ends
+                                            // inserted
     constexpr size_t kQueryThreads = 2;
+    // Start barrier: every racing thread (plus this one) enters the race
+    // window together instead of relying on spawn-order luck.
     testutil::PhaseBarrier barrier(kProducers + kQueryThreads + 2);
     std::atomic<bool> producers_done{false};
     std::vector<std::thread> threads;
@@ -415,7 +309,7 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
         Rng rng(seed * 100 + q);
         uint64_t last_version = 0;
         uint64_t last_watermark = 0;
-        VersionVector last_slices(kAppliers);
+        VersionVector last_slices(appliers);
         barrier.Arrive();
         while (!producers_done.load(std::memory_order_acquire)) {
           const size_t pid = rng.NextBounded(f.patterns.size());
@@ -436,8 +330,8 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
           // monotone across this reader's observations.
           const uint64_t w = engine.applied_through_ts();
           const VersionVector vv = engine.stream_slice_versions();
-          ASSERT_EQ(vv.num_slices(), kAppliers);
-          for (size_t s = 0; s < kAppliers; ++s) {
+          ASSERT_EQ(vv.num_slices(), appliers);
+          for (size_t s = 0; s < appliers; ++s) {
             EXPECT_GE(vv.slice(s), w)
                 << "slice " << s << " behind published watermark " << w
                 << " — torn cut " << vv.ToString();
@@ -451,7 +345,7 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
       barrier.Arrive();
       while (!producers_done.load(std::memory_order_acquire)) {
         EngineStats s = engine.stats();
-        EXPECT_EQ(s.stream_appliers, kAppliers);
+        EXPECT_EQ(s.stream_appliers, appliers);
         EXPECT_EQ(s.stream.ops_ingested, s.stream.ops_applied +
                                              s.stream.ops_coalesced +
                                              s.stream.ops_dropped);
@@ -462,24 +356,28 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
         EXPECT_EQ(hist, s.stream.batches_applied);
         EXPECT_LE(s.stream.applied_through_ts,
                   kProducers * kOpsPerProducer);
+        EXPECT_GE(s.pool.submitted, s.pool.executed);
         std::this_thread::yield();
       }
     });
 
-    barrier.Arrive();
+    barrier.Arrive();  // everyone starts racing together
+    // Producers run to completion, then the stream quiesces before the
+    // racing readers stop (so they observe the tail of ingestion too).
     for (size_t p = 0; p < kProducers; ++p) threads[p].join();
     ASSERT_TRUE(pool.FlushAndWait().ok());
     producers_done.store(true, std::memory_order_release);
     for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
 
     ASSERT_TRUE(pool.Stop().ok());
-    // Both producer edges end inserted; the watermark reaches the global
-    // total even though at least one of the three slices carried few or no
-    // ops (heartbeats, not luck).
+    // Both producer edges end inserted (odd toggle counts): deterministic
+    // final graph, exact stream totals, and a watermark at the global
+    // total even where slices carried no ops (heartbeats, not luck).
     EXPECT_EQ(engine.num_graph_edges(), f.graph.num_edges() + 2);
     EngineStats s = engine.stats();
     EXPECT_EQ(s.stream.ops_ingested, kProducers * kOpsPerProducer);
     EXPECT_EQ(s.stream.ops_dropped, 0u);
+    EXPECT_EQ(s.stream.applied_through_ts, kProducers * kOpsPerProducer);
     EXPECT_EQ(engine.applied_through_ts(), kProducers * kOpsPerProducer);
     uint64_t routed = 0;
     for (size_t i = 0; i < pool.num_appliers(); ++i) {
@@ -489,6 +387,19 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
     CheckAccounting(s.cache);
     EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
   }
+}
+
+TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
+  // One applier: every op commits through a single slice, whose clock is
+  // the watermark.
+  RunStreamingRacesQueries(/*appliers=*/1, {5, 6});
+}
+
+TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
+  // Four appliers: at least two slices receive no ops (there are only two
+  // UPD edges), which is the point — the pool's heartbeats must still
+  // carry the watermark to the global total at quiesce.
+  RunStreamingRacesQueries(/*appliers=*/4, {7, 8});
 }
 
 TEST(EngineConcurrencyTest, PhaseBarrierReleasesAllParticipantsTogether) {

@@ -1,9 +1,9 @@
 /// \file stream_equivalence_test.cc
 /// \brief The streaming-vs-batch equivalence oracle: randomized op streams
 /// (inserts/deletes/mixed, with duplicate and contradicting ops on the same
-/// edge) fed through UpdateStream + StreamApplier must leave the engine —
-/// final Q(G) for every probe pattern AND the cached-view extensions the
-/// plans read — bit-identical to the same ops applied through two oracles:
+/// edge) fed through an ApplierPool must leave the engine — final Q(G) for
+/// every probe pattern AND the cached-view extensions the plans read —
+/// bit-identical to the same ops applied through two oracles:
 ///
 ///  * the *single-batch* oracle: the stream's last-op-wins canonical batch
 ///    (UpdateStream::Coalesce) applied as one ApplyUpdates call — the
@@ -14,9 +14,9 @@
 ///    in timestamp order — pure sequential semantics, no canonicalization.
 ///
 /// The whole matrix runs across delta maintenance on/off × K ∈ {1, 4}
-/// stream appliers (K = 1 is a lone StreamApplier, K = 4 an ApplierPool
-/// fed in stream order), so the streamed path is pinned against every
-/// update-path configuration the engine has. FlushAndWait quiesces the
+/// stream appliers (an ApplierPool of K, fed in stream order), so the
+/// streamed path is pinned against every update-path configuration the
+/// engine has. FlushAndWait quiesces the
 /// appliers before each comparison, which is what makes the checks
 /// deterministic.
 ///
@@ -43,7 +43,6 @@
 #include "common/random.h"
 #include "engine/query_engine.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
 #include "stream/update_stream.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
@@ -161,18 +160,10 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
 
     // Streamed: through the queue + applier(s), in micro-batches.
     std::unique_ptr<QueryEngine> streamed = MakeEngine(f, enable_delta());
-    if (appliers() == 1) {
-      UpdateStream stream;
-      StreamApplierOptions ao;
-      ao.max_batch = 16;  // several micro-batches per stream
-      StreamApplier applier(streamed.get(), &stream, ao);
-      for (const EdgeUpdate& op : ops) ASSERT_NE(stream.Push(op), 0u);
-      ASSERT_TRUE(applier.FlushAndWait().ok());
-      ASSERT_TRUE(applier.Stop().ok());
-    } else {
+    {
       ApplierPoolOptions po;
       po.num_appliers = appliers();
-      po.applier.max_batch = 16;
+      po.applier.max_batch = 16;  // several micro-batches per slice
       ApplierPool pool(streamed.get(), po);
       for (const EdgeUpdate& op : ops) ASSERT_NE(pool.Push(op), 0u);
       ASSERT_TRUE(pool.FlushAndWait().ok());
@@ -236,15 +227,16 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
   // point is a real consistent cut, not just an eventual state.
   std::unique_ptr<QueryEngine> streamed = MakeEngine(f, true);
   std::unique_ptr<QueryEngine> oracle = MakeEngine(f, true);
-  UpdateStream stream;
-  StreamApplier applier(streamed.get(), &stream, {});
+  ApplierPoolOptions po;
+  po.num_appliers = 1;
+  ApplierPool pool(streamed.get(), po);
 
   const size_t half = ops.size() / 2;
   std::vector<EdgeUpdate> first(ops.begin(), ops.begin() + half);
   std::vector<EdgeUpdate> second(ops.begin() + half, ops.end());
 
-  for (const EdgeUpdate& op : first) ASSERT_NE(stream.Push(op), 0u);
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  for (const EdgeUpdate& op : first) ASSERT_NE(pool.Push(op), 0u);
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   ASSERT_TRUE(oracle->ApplyUpdates(UpdateStream::Coalesce(first)).ok());
   EXPECT_EQ(Answers(streamed.get(), f).size(), Answers(oracle.get(), f).size());
   {
@@ -255,8 +247,8 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
     }
   }
 
-  for (const EdgeUpdate& op : second) ASSERT_NE(stream.Push(op), 0u);
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  for (const EdgeUpdate& op : second) ASSERT_NE(pool.Push(op), 0u);
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   ASSERT_TRUE(oracle->ApplyUpdates(UpdateStream::Coalesce(second)).ok());
   {
     const std::vector<MatchResult> sa = Answers(streamed.get(), f);
@@ -265,7 +257,7 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
       EXPECT_TRUE(sa[i] == oa[i]) << "final state diverged at " << i;
     }
   }
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 /// \file stream_test.cc
 /// \brief Unit tests for the streaming-update subsystem: UpdateStream queue
-/// semantics (timestamps, backpressure, close, last-op-wins coalescing) and
-/// StreamApplier behavior against a live engine (micro-batching, the
-/// FlushAndWait quiesce contract, applied-through watermarks on query
-/// responses, sticky failure handling, stream stats plumbing), plus
-/// ApplierPool routing/watermark regressions (backpressure vs. the
-/// watermark-refresh lock, failed-slice watermark pinning, ticket
+/// semantics (ticket order, the three wait modes of its one enqueue,
+/// backpressure, close, last-op-wins coalescing), one stream slice's
+/// applier against a live engine through an ApplierPool of one
+/// (micro-batching, the FlushAndWait quiesce contract, applied-through
+/// watermarks on query responses, quarantine and retry, stream stats
+/// plumbing), plus ApplierPool routing/watermark regressions (backpressure
+/// vs. the watermark-refresh lock, failed-slice watermark pinning, ticket
 /// resumption on an engine with prior streamed history).
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 
 #include "engine/query_engine.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
 #include "stream/update_stream.h"
 #include "test_util.h"
 
@@ -27,23 +27,19 @@ namespace {
 using testutil::ChainGraph;
 using testutil::ChainPattern;
 
-TEST(UpdateStreamTest, PushAssignsDenseMonotoneTimestamps) {
-  UpdateStream stream;
-  EXPECT_EQ(stream.last_assigned_ts(), 0u);
-  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(0, 1)), 1u);
-  EXPECT_EQ(stream.Push(EdgeUpdate::Delete(0, 1)), 2u);
-  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2)), 3u);
-  EXPECT_EQ(stream.last_assigned_ts(), 3u);
-  EXPECT_EQ(stream.depth(), 3u);
-  EXPECT_EQ(stream.ops_accepted(), 3u);
+/// Enqueues `op` under the next ticket, the way one ApplierPool slice sees
+/// its strictly increasing subsequence of the global ticket source.
+uint64_t PushNext(UpdateStream* stream, EdgeUpdate op) {
+  return stream->PushWithTs(op, stream->last_accepted_ts() + 1);
 }
 
 TEST(UpdateStreamTest, DrainCoalescesLastOpWinsPerEdge) {
   UpdateStream stream;
-  stream.Push(EdgeUpdate::Insert(0, 1));
-  stream.Push(EdgeUpdate::Delete(0, 1));
-  stream.Push(EdgeUpdate::Insert(0, 1));  // contradicting trio: insert wins
-  stream.Push(EdgeUpdate::Delete(2, 3));  // distinct edge survives alongside
+  PushNext(&stream, EdgeUpdate::Insert(0, 1));
+  PushNext(&stream, EdgeUpdate::Delete(0, 1));
+  PushNext(&stream, EdgeUpdate::Insert(0, 1));  // contradicting trio: insert
+                                                // wins
+  PushNext(&stream, EdgeUpdate::Delete(2, 3));  // a distinct edge survives
 
   StreamDrainResult d;
   ASSERT_TRUE(stream.Drain(16, &d));
@@ -73,7 +69,9 @@ TEST(UpdateStreamTest, CoalesceHelperKeepsLastOpAndFirstOrder) {
 
 TEST(UpdateStreamTest, DrainRespectsMaxOpsAndLeavesRemainder) {
   UpdateStream stream;
-  for (NodeId i = 0; i < 5; ++i) stream.Push(EdgeUpdate::Insert(i, i + 1));
+  for (NodeId i = 0; i < 5; ++i) {
+    PushNext(&stream, EdgeUpdate::Insert(i, i + 1));
+  }
   StreamDrainResult d;
   ASSERT_TRUE(stream.Drain(2, &d));
   EXPECT_EQ(d.ops_popped, 2u);
@@ -88,16 +86,19 @@ TEST(UpdateStreamTest, BoundedQueueBlocksProducerUntilDrained) {
   UpdateStreamOptions opts;
   opts.queue_capacity = 2;
   UpdateStream stream(opts);
-  stream.Push(EdgeUpdate::Insert(0, 1));
-  stream.Push(EdgeUpdate::Insert(1, 2));
+  PushNext(&stream, EdgeUpdate::Insert(0, 1));
+  PushNext(&stream, EdgeUpdate::Insert(1, 2));
 
-  bool full = false;
-  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(2, 3), &full), 0u);
-  EXPECT_TRUE(full);
+  PushError err = PushError::kNone;
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(2, 3), 3,
+                              UpdateStream::kNoWait, &err),
+            0u);
+  EXPECT_EQ(err, PushError::kWouldBlock);
 
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    stream.Push(EdgeUpdate::Insert(2, 3));  // blocks until the drain below
+    // Blocks until the drain below frees a slot.
+    EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(2, 3), 3), 3u);
     third_pushed = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -114,11 +115,17 @@ TEST(UpdateStreamTest, BoundedQueueBlocksProducerUntilDrained) {
 
 TEST(UpdateStreamTest, CloseFailsPushAndDrainsRemainder) {
   UpdateStream stream;
-  stream.Push(EdgeUpdate::Insert(0, 1));
+  PushNext(&stream, EdgeUpdate::Insert(0, 1));
   stream.Close();
-  EXPECT_TRUE(stream.closed());
-  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2)), 0u);
-  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(1, 2)), 0u);
+  PushError err = PushError::kNone;
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 2,
+                              UpdateStream::kWaitForever, &err),
+            0u);
+  EXPECT_EQ(err, PushError::kClosed);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 2,
+                              UpdateStream::kNoWait, &err),
+            0u);
+  EXPECT_EQ(err, PushError::kClosed);
 
   StreamDrainResult d;
   ASSERT_TRUE(stream.Drain(16, &d));  // the pre-close op still drains
@@ -138,7 +145,7 @@ TEST(UpdateStreamTest, DrainBlocksUntilPushArrives) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(drained.load());
-  stream.Push(EdgeUpdate::Insert(0, 1));
+  PushNext(&stream, EdgeUpdate::Insert(0, 1));
   consumer.join();
   EXPECT_TRUE(drained.load());
 }
@@ -157,75 +164,78 @@ TEST(UpdateStreamTest, StaleTicketRejectedWithoutBlockingOnFullQueue) {
   ASSERT_EQ(stream.depth(), 1u);  // full
 
   PushError err = PushError::kNone;
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 10, &err), 0u);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 10,
+                              UpdateStream::kWaitForever, &err),
+            0u);
   EXPECT_EQ(err, PushError::kStaleTicket);
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 5, &err), 0u);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 5,
+                              UpdateStream::kWaitForever, &err),
+            0u);
   EXPECT_EQ(err, PushError::kStaleTicket);
   // The queued op and the stream's ts high-water mark are untouched.
   EXPECT_EQ(stream.depth(), 1u);
-  EXPECT_EQ(stream.last_assigned_ts(), 10u);
+  EXPECT_EQ(stream.last_accepted_ts(), 10u);
 }
 
 TEST(UpdateStreamTest, DeadlinePushWithTsDistinguishesFailureReasons) {
-  // Regression: the deadline overload returned 0 with *timed_out == false
-  // for both kClosed and kStaleTicket, so callers could not tell a dead
-  // stream from a retryable ordering race. PushError now names the reason.
+  // Regression: a deadline push used to report kClosed and kStaleTicket
+  // alike, so callers could not tell a dead stream from a retryable
+  // ordering race. PushError now names the reason.
   UpdateStreamOptions opts;
   opts.queue_capacity = 1;
   UpdateStream stream(opts);
   ASSERT_EQ(stream.PushWithTs(EdgeUpdate::Insert(0, 1), 7), 7u);
 
-  bool timed_out = false;
   PushError err = PushError::kNone;
   // Full queue, fresh ticket: genuine timeout.
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 8, 20.0, &timed_out,
-                              &err),
-            0u);
-  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 8, 20.0, &err), 0u);
   EXPECT_EQ(err, PushError::kTimeout);
 
-  // Stale ticket: rejected before any wait, *timed_out stays false.
-  timed_out = false;
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 7, 1000.0,
-                              &timed_out, &err),
-            0u);
-  EXPECT_FALSE(timed_out);
+  // Stale ticket: rejected before any wait.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 7, 1000.0, &err), 0u);
   EXPECT_EQ(err, PushError::kStaleTicket);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
 
   stream.Close();
-  timed_out = false;
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 8, 1000.0,
-                              &timed_out, &err),
-            0u);
-  EXPECT_FALSE(timed_out);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 8, 1000.0, &err), 0u);
   EXPECT_EQ(err, PushError::kClosed);
 }
 
-TEST(UpdateStreamTest, TryPushWithTsReportsEveryReason) {
+TEST(UpdateStreamTest, NoWaitPushReportsEveryReason) {
   UpdateStreamOptions opts;
   opts.queue_capacity = 1;
   UpdateStream stream(opts);
 
-  PushError err = PushError::kNone;
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(0, 1), 3, &err), 3u);
+  PushError err = PushError::kTimeout;
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(0, 1), 3,
+                              UpdateStream::kNoWait, &err),
+            3u);
   EXPECT_EQ(err, PushError::kNone);
 
   // Queue full, fresh ticket: kWouldBlock — the net server's parked-op
   // path keys off this to pause reads instead of blocking the loop.
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(1, 2), 4, &err), 0u);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 4,
+                              UpdateStream::kNoWait, &err),
+            0u);
   EXPECT_EQ(err, PushError::kWouldBlock);
 
   // Stale beats full: order violations are permanent, report them first.
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(1, 2), 3, &err), 0u);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 3,
+                              UpdateStream::kNoWait, &err),
+            0u);
   EXPECT_EQ(err, PushError::kStaleTicket);
 
   stream.Close();
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(1, 2), 9, &err), 0u);
+  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 9,
+                              UpdateStream::kNoWait, &err),
+            0u);
   EXPECT_EQ(err, PushError::kClosed);
 }
 
 // ---------------------------------------------------------------------------
-// StreamApplier against a live engine
+// One stream slice against a live engine: an ApplierPool of one applier
 // ---------------------------------------------------------------------------
 
 struct ApplierFixture {
@@ -235,22 +245,28 @@ struct ApplierFixture {
   ApplierFixture() { opts.pool.num_threads = 2; }
 };
 
+ApplierPoolOptions OneApplier() {
+  ApplierPoolOptions po;
+  po.num_appliers = 1;
+  return po;
+}
+
 TEST(StreamApplierTest, AppliesStreamedOpsAndStampsWatermark) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, OneApplier());
 
   // 0->2 and 1->3 are absent in the chain; stream them in.
-  stream.Push(EdgeUpdate::Insert(0, 2));
-  stream.Push(EdgeUpdate::Insert(1, 3));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  EXPECT_EQ(pool.Push(EdgeUpdate::Insert(0, 2)), 1u);
+  EXPECT_EQ(pool.Push(EdgeUpdate::Insert(1, 3)), 2u);
+  ASSERT_TRUE(pool.FlushAndWait().ok());
 
   EXPECT_EQ(engine.num_graph_edges(), 5u);
   EXPECT_EQ(engine.applied_through_ts(), 2u);
-  EXPECT_GE(applier.consumed_through_ts(), 2u);
+  EXPECT_EQ(pool.ops_routed(0), 2u);
 
   EngineStats s = engine.stats();
+  EXPECT_EQ(s.stream_appliers, 1u);
   EXPECT_EQ(s.stream.ops_ingested, 2u);
   EXPECT_EQ(s.stream.ops_applied, 2u);
   EXPECT_EQ(s.stream.ops_coalesced, 0u);
@@ -260,22 +276,21 @@ TEST(StreamApplierTest, AppliesStreamedOpsAndStampsWatermark) {
   EXPECT_EQ(s.stream.flushes, 1u);
   EXPECT_GE(s.update_batches, 1u);
   EXPECT_EQ(s.edges_inserted, 2u);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, QueryResponsesCarryVersionAndWatermark) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, OneApplier());
 
   Pattern q = ChainPattern({"A", "B"});
   QueryResponse before = engine.Query(q);
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.applied_through_ts, 0u);
 
-  const uint64_t ts = stream.Push(EdgeUpdate::Insert(0, 2));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  const uint64_t ts = pool.Push(EdgeUpdate::Insert(0, 2));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
 
   QueryResponse after = engine.Query(q);
   ASSERT_TRUE(after.status.ok());
@@ -283,64 +298,64 @@ TEST(StreamApplierTest, QueryResponsesCarryVersionAndWatermark) {
   // has applied through our push's timestamp, and versions are monotone.
   EXPECT_GE(after.applied_through_ts, ts);
   EXPECT_GT(after.snapshot_version, before.snapshot_version);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, FlushOnEmptyStreamReturnsImmediately) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
-  EXPECT_TRUE(applier.FlushAndWait().ok());
+  ApplierPool pool(&engine, OneApplier());
+  EXPECT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.applied_through_ts(), 0u);
-  EXPECT_TRUE(applier.Stop().ok());
-  // Stop is idempotent and keeps returning the final status.
-  EXPECT_TRUE(applier.Stop().ok());
+  EXPECT_TRUE(pool.Stop().ok());
+  // Stop is idempotent, and a stopped pool refuses further ops.
+  EXPECT_TRUE(pool.Stop().ok());
+  EXPECT_EQ(pool.Push(EdgeUpdate::Insert(0, 2)), 0u);
 }
 
 TEST(StreamApplierTest, ContradictingOpsFollowStreamOrderNotSetSemantics) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, OneApplier());
 
   // insert then delete of the same (absent) edge: sequential semantics end
   // with the edge absent. (A raw one-batch set-semantics apply would end
   // with it present — the coalescing discipline is what keeps the stream
   // faithful to enqueue order; see update_stream.h.)
-  stream.Push(EdgeUpdate::Insert(0, 3));
-  stream.Push(EdgeUpdate::Delete(0, 3));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  pool.Push(EdgeUpdate::Insert(0, 3));
+  pool.Push(EdgeUpdate::Delete(0, 3));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.num_graph_edges(), 3u);
 
   // And the reverse pair on an existing edge: delete then re-insert keeps it.
-  stream.Push(EdgeUpdate::Delete(0, 1));
-  stream.Push(EdgeUpdate::Insert(0, 1));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  pool.Push(EdgeUpdate::Delete(0, 1));
+  pool.Push(EdgeUpdate::Insert(0, 1));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.num_graph_edges(), 3u);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, QuarantineRetainsOpsUntilStopSettlesThemAsDrops) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, OneApplier());
+  const obs::Gauge* redo_depth =
+      engine.metrics()->FindOrCreateGauge("stream.redo_depth");
 
   // Node 99 does not exist: the micro-batch fails validation up front —
   // a deterministic failure, so the applier quarantines without burning
   // backoff retries, and producers see kResourceExhausted backpressure.
-  stream.Push(EdgeUpdate::Insert(0, 99));
-  Status st = applier.FlushAndWait();
+  pool.Push(EdgeUpdate::Insert(0, 99));
+  Status st = pool.FlushAndWait();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
-  EXPECT_TRUE(applier.quarantined());
-  EXPECT_EQ(applier.redo_depth(), 1u);
+  EXPECT_TRUE(pool.slice_quarantined(0));
+  EXPECT_EQ(redo_depth->Value(), 1.0);
 
   // Later (valid) ops are *retained* behind the quarantine — not applied,
   // but not silently dropped either — and flush still returns.
-  stream.Push(EdgeUpdate::Insert(0, 2));
-  EXPECT_EQ(applier.FlushAndWait().code(), Status::Code::kResourceExhausted);
+  pool.Push(EdgeUpdate::Insert(0, 2));
+  EXPECT_EQ(pool.FlushAndWait().code(), Status::Code::kResourceExhausted);
   EXPECT_EQ(engine.num_graph_edges(), 3u);  // chain untouched
 
   EngineStats s = engine.stats();
@@ -355,12 +370,13 @@ TEST(StreamApplierTest, QuarantineRetainsOpsUntilStopSettlesThemAsDrops) {
 
   // Only Stop() on a quarantined applier gives up the retained ops —
   // settled as *explicit* drops, keeping the accounting identity intact.
-  EXPECT_FALSE(applier.Stop().ok());
+  EXPECT_FALSE(pool.Stop().ok());
   s = engine.stats();
   EXPECT_EQ(s.stream.ops_dropped, 2u);
   EXPECT_EQ(s.stream.ops_ingested,
             s.stream.ops_applied + s.stream.ops_coalesced +
                 s.stream.ops_dropped);
+  EXPECT_EQ(redo_depth->Value(), 0.0);
   EXPECT_EQ(engine.quarantined_slices(), 0u);  // teardown balances the flag
 }
 
@@ -372,16 +388,15 @@ TEST(StreamApplierTest, TransientFaultRetriesInPlaceAndSucceeds) {
   fault.Arm("stream.apply", spec);
   f.opts.fault = &fault;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplierOptions ao;
-  ao.retry.max_attempts = 3;
-  ao.retry.backoff_base_ms = 0.1;
-  ao.retry.backoff_max_ms = 0.5;
-  StreamApplier applier(&engine, &stream, ao);
+  ApplierPoolOptions po = OneApplier();
+  po.applier.retry.max_attempts = 3;
+  po.applier.retry.backoff_base_ms = 0.1;
+  po.applier.retry.backoff_max_ms = 0.5;
+  ApplierPool pool(&engine, po);
 
-  stream.Push(EdgeUpdate::Insert(0, 2));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
-  EXPECT_FALSE(applier.quarantined());
+  pool.Push(EdgeUpdate::Insert(0, 2));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
+  EXPECT_FALSE(pool.slice_quarantined(0));
   EXPECT_EQ(engine.num_graph_edges(), 4u);
   EXPECT_EQ(engine.applied_through_ts(), 1u);
 
@@ -391,28 +406,25 @@ TEST(StreamApplierTest, TransientFaultRetriesInPlaceAndSucceeds) {
   EXPECT_EQ(s.stream.quarantines, 0u);
   EXPECT_EQ(s.stream.ops_dropped, 0u);
   EXPECT_EQ(fault.fired("stream.apply"), 1u);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, StatsInvariantsHoldAfterBurst) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStreamOptions so;
-  so.queue_capacity = 64;
-  UpdateStream stream(so);
-  StreamApplierOptions ao;
-  ao.max_batch = 8;
-  StreamApplier applier(&engine, &stream, ao);
+  ApplierPoolOptions po = OneApplier();
+  po.stream.queue_capacity = 64;
+  po.applier.max_batch = 8;
+  ApplierPool pool(&engine, po);
 
-  // Toggle the same edge many times: heavy coalescing, final state = last
-  // op (insert with even count of toggles after it... keep it simple: end
-  // on insert).
-  constexpr size_t kToggles = 101;  // odd: ends inserted
+  // Toggle the same edge many times: heavy coalescing; an odd toggle
+  // count ends on an insert.
+  constexpr size_t kToggles = 101;
   for (size_t i = 0; i < kToggles; ++i) {
-    stream.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
-                           : EdgeUpdate::Delete(0, 2));
+    pool.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
+                         : EdgeUpdate::Delete(0, 2));
   }
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.num_graph_edges(), 4u);  // 3 chain edges + 0->2
 
   EngineStats s = engine.stats();
@@ -421,30 +433,29 @@ TEST(StreamApplierTest, StatsInvariantsHoldAfterBurst) {
             s.stream.ops_applied + s.stream.ops_coalesced +
                 s.stream.ops_dropped);
   EXPECT_EQ(s.stream.applied_through_ts, kToggles);
-  EXPECT_LE(s.stream.max_batch_size, ao.max_batch);
+  EXPECT_LE(s.stream.max_batch_size, po.applier.max_batch);
   size_t hist_total = 0;
   for (size_t b = 0; b < kStreamBatchBuckets; ++b) {
     hist_total += s.stream.batch_size_hist[b];
   }
   EXPECT_EQ(hist_total, s.stream.batches_applied);
   EXPECT_GE(s.stream.publish_lag_ms_max, 0.0);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, DestructorStopsCleanlyWithPendingOps) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
   {
-    StreamApplier applier(&engine, &stream);
+    ApplierPool pool(&engine, OneApplier());
     for (int i = 0; i < 16; ++i) {
-      stream.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
-                             : EdgeUpdate::Delete(0, 2));
+      pool.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
+                           : EdgeUpdate::Delete(0, 2));
     }
     // No flush: the destructor closes the stream and drains the remainder.
   }
-  EXPECT_TRUE(stream.closed());
   EXPECT_EQ(engine.stats().stream.ops_ingested, 16u);
+  EXPECT_EQ(engine.stats().stream.ops_dropped, 0u);
   EXPECT_EQ(engine.num_graph_edges(), 3u);  // 16 toggles end on delete
 }
 
@@ -677,6 +688,60 @@ TEST(ApplierPoolTest, PoolOnEngineWithHistoryResumesTickets) {
   EXPECT_EQ(engine.applied_through_ts(), history_ts + 1);
   EXPECT_EQ(engine.num_graph_edges(), 5u);  // chain + 0->2 + 0->3
   ASSERT_TRUE(pool2.Stop().ok());
+}
+
+TEST(ApplierPoolTest, SecondPoolWaitsForItsOwnTicketNotHistory) {
+  // Read-your-writes across pool lifetimes. One pool streams history, a
+  // second pool on the same engine takes a new op whose commit stalls. A
+  // min_applied_ts wait on that op's ticket must block until the op is
+  // applied. Regression: a second stream that restarted its tickets at 1
+  // handed out a ticket the stale watermark already covered, so the wait
+  // returned at once, without the op.
+  ApplierFixture f;
+  FaultInjector fault(74);
+  f.opts.fault = &fault;
+  QueryEngine engine(f.graph, f.opts);
+  {
+    ApplierPool history(&engine, OneApplier());
+    ASSERT_NE(history.Push(EdgeUpdate::Insert(0, 2)), 0u);
+    ASSERT_NE(history.Push(EdgeUpdate::Delete(0, 2)), 0u);
+    ASSERT_NE(history.Push(EdgeUpdate::Insert(1, 3)), 0u);
+    ASSERT_TRUE(history.FlushAndWait().ok());
+    ASSERT_TRUE(history.Stop().ok());
+  }
+  ASSERT_EQ(engine.applied_through_ts(), 3u);
+
+  // Every commit from here on fails and retries with backoff: the new op
+  // stays unapplied (and its slice unquarantined) until we disarm.
+  FaultPointSpec stall;
+  stall.probability = 1.0;
+  fault.Arm("stream.apply", stall);
+  ApplierPoolOptions po = OneApplier();
+  po.applier.retry.max_attempts = 1000;
+  po.applier.retry.backoff_base_ms = 5.0;
+  po.applier.retry.backoff_max_ms = 10.0;
+  ApplierPool pool(&engine, po);
+  const uint64_t ts = pool.Push(EdgeUpdate::Insert(0, 3));
+  ASSERT_NE(ts, 0u);
+  EXPECT_GT(ts, 3u);
+
+  Pattern q = ChainPattern({"A", "D"});  // matches only through 0->3
+  QueryOptions qo;
+  qo.min_applied_ts = ts;
+  qo.ryw_timeout_ms = 40.0;
+  QueryResponse early = engine.Query(q, qo);
+  EXPECT_EQ(early.status.code(), Status::Code::kDeadlineExceeded)
+      << "a min_applied_ts wait was satisfied before its op applied";
+  EXPECT_FALSE(pool.slice_quarantined(0));
+
+  fault.Disarm("stream.apply");
+  ASSERT_TRUE(pool.FlushAndWait().ok());
+  qo.ryw_timeout_ms = 2000.0;
+  QueryResponse late = engine.Query(q, qo);
+  ASSERT_TRUE(late.status.ok()) << late.status.ToString();
+  EXPECT_GE(late.applied_through_ts, ts);
+  EXPECT_TRUE(late.result.matched());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, BatchBucketPartitionsPowersOfTwo) {

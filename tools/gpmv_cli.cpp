@@ -31,18 +31,17 @@
 ///
 /// `--stream <file>` ingests the same update-file format *concurrently*
 /// with the queries instead of as one stop-the-world batch: a producer
-/// thread pushes the ops through the bounded UpdateStream and the
-/// background StreamApplier drains them into adaptive micro-batches
-/// (stream/stream_applier.h), so queries keep executing while edges land.
-/// `--stream-rate N` paces the producer at N ops/sec (0 = full speed);
-/// `--max-lag-ms M` bounds the applier's adaptive batching (an apply
-/// slower than M halves the next micro-batch). The run quiesces with
-/// FlushAndWait before the final report and prints the stream counters
-/// (ingested/coalesced ops, micro-batches, queue depth, publish lag,
-/// applied-through watermark). `--appliers N` (with `--stream`) ingests
-/// through an ApplierPool instead: N concurrent appliers over N disjoint
-/// edge-hash slices (stream/applier_pool.h), commits serializing only at
-/// the MVCC chain head; the quiesce line then reports per-slice routing.
+/// thread pushes the ops through an ApplierPool (stream/applier_pool.h) of
+/// `--appliers N` (default 1) concurrent appliers over N disjoint
+/// edge-hash slices, each draining its bounded queue into adaptive
+/// micro-batches, so queries keep executing while edges land; commits
+/// serialize only at the MVCC chain head. `--stream-rate N` paces the
+/// producer at N ops/sec (0 = full speed); `--max-lag-ms M` bounds the
+/// appliers' adaptive batching (an apply slower than M halves the next
+/// micro-batch). The run quiesces with FlushAndWait before the final
+/// report and prints the stream counters (ingested/coalesced ops,
+/// micro-batches, queue depth, publish lag, applied-through watermark)
+/// and the per-slice routing line.
 ///
 /// Time travel: `--as-of T` runs every query `AS OF` stream timestamp T —
 /// each pins the newest retained prefix-consistent cut with watermark <= T
@@ -103,8 +102,6 @@
 #include "engine/query_engine.h"
 #include "obs/exporter.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
-#include "stream/update_stream.h"
 #include "core/containment.h"
 #include "core/match_join.h"
 #include "core/rewriting.h"
@@ -726,11 +723,9 @@ int CmdServe(const std::vector<std::string>& args) {
     // Socket serving: the epoll server multiplexes client connections onto
     // the engine (queries) and an ApplierPool (updates, admission-
     // controlled per connection).
-    StreamApplierOptions ao;
-    ao.max_lag_ms = static_cast<double>(max_lag_ms);
     ApplierPoolOptions po;
     po.num_appliers = appliers == 0 ? 1 : appliers;
-    po.applier = ao;
+    po.applier.max_lag_ms = static_cast<double>(max_lag_ms);
     ApplierPool net_pool(&engine, po);
 
     net::ServerOptions so;
@@ -800,26 +795,17 @@ int CmdServe(const std::vector<std::string>& args) {
 
   // Concurrent streamed ingestion: producer thread pushes the op file
   // through the bounded queue (optionally paced) while the query loop
-  // below submits; the applier drains micro-batches in the background.
-  std::unique_ptr<UpdateStream> stream;
-  std::unique_ptr<StreamApplier> applier;
+  // below submits; the appliers drain micro-batches in the background.
   std::unique_ptr<ApplierPool> pool;
   std::thread producer;
   if (!stream_ops.empty()) {
-    StreamApplierOptions ao;
-    ao.max_lag_ms = static_cast<double>(max_lag_ms);
-    if (appliers > 1) {
-      // Multi-applier ingestion: N appliers over N edge-hash slices, all
-      // fed through the pool's global ticket source.
-      ApplierPoolOptions po;
-      po.num_appliers = appliers;
-      po.applier = ao;
-      pool = std::make_unique<ApplierPool>(&engine, po);
-    } else {
-      stream = std::make_unique<UpdateStream>();
-      applier = std::make_unique<StreamApplier>(&engine, stream.get(), ao);
-    }
-    producer = std::thread([&stream, &pool, &stream_ops, stream_rate] {
+    // N appliers over N edge-hash slices (N = 1 by default), all fed
+    // through the pool's global ticket source.
+    ApplierPoolOptions po;
+    po.num_appliers = appliers == 0 ? 1 : appliers;
+    po.applier.max_lag_ms = static_cast<double>(max_lag_ms);
+    pool = std::make_unique<ApplierPool>(&engine, po);
+    producer = std::thread([&pool, &stream_ops, stream_rate] {
       using clock = std::chrono::steady_clock;
       const clock::time_point start = clock::now();
       for (size_t i = 0; i < stream_ops.size(); ++i) {
@@ -830,9 +816,7 @@ int CmdServe(const std::vector<std::string>& args) {
               start + std::chrono::microseconds(1000000 * i / stream_rate);
           std::this_thread::sleep_until(due);
         }
-        const uint64_t ts = pool ? pool->Push(stream_ops[i])
-                                 : stream->Push(stream_ops[i]);
-        if (ts == 0) return;  // stream closed / pool stopped
+        if (pool->Push(stream_ops[i]) == 0) return;  // pool stopped
       }
     });
   }
@@ -841,12 +825,7 @@ int CmdServe(const std::vector<std::string>& args) {
   // producer — destroying a joinable std::thread terminates the process.
   auto abandon_stream = [&] {
     if (producer.joinable()) {
-      // Wakes a Push blocked on backpressure.
-      if (pool) {
-        (void)pool->Stop();
-      } else {
-        stream->Close();
-      }
+      (void)pool->Stop();  // wakes a Push blocked on backpressure
       producer.join();
     }
   };
@@ -894,19 +873,17 @@ int CmdServe(const std::vector<std::string>& args) {
     // the bounded-staleness contract; the watermark line below says how
     // far reads could lag).
     producer.join();
-    Status st = pool ? pool->FlushAndWait() : applier->FlushAndWait();
+    Status st = pool->FlushAndWait();
     std::printf("-- stream quiesced: %zu ops through ts %llu: %s\n",
                 stream_ops.size(),
                 static_cast<unsigned long long>(engine.applied_through_ts()),
                 st.ok() ? "ok" : st.ToString().c_str());
-    if (pool) {
-      std::printf("-- appliers: %zu slices, routed", pool->num_appliers());
-      for (size_t i = 0; i < pool->num_appliers(); ++i) {
-        std::printf(" %llu",
-                    static_cast<unsigned long long>(pool->ops_routed(i)));
-      }
-      std::printf("\n");
+    std::printf("-- appliers: %zu slices, routed", pool->num_appliers());
+    for (size_t i = 0; i < pool->num_appliers(); ++i) {
+      std::printf(" %llu",
+                  static_cast<unsigned long long>(pool->ops_routed(i)));
     }
+    std::printf("\n");
     if (!st.ok()) return 1;
   }
   size_t failed = 0;
